@@ -19,7 +19,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -30,11 +29,8 @@ import (
 	"evax/internal/benchjson"
 	"evax/internal/checkpoint"
 	"evax/internal/dataset"
-	"evax/internal/detect"
 	"evax/internal/experiments"
-	"evax/internal/hpc"
 	"evax/internal/isa"
-	"evax/internal/kernel"
 	"evax/internal/runner"
 )
 
@@ -169,257 +165,18 @@ func reportThroughput(stage string, wall time.Duration, jobs uint64) {
 
 // benchReport is the BENCH_runner.json schema: wall-clock and throughput of
 // corpus generation sequentially and fanned out, plus the equivalence bit
-// (parallel output must be byte-identical to -jobs 1) and the columnar
-// feature-path comparison.
+// (parallel output must be byte-identical to -jobs 1).
 type benchReport struct {
-	GOMAXPROCS    int               `json:"gomaxprocs"`
-	Jobs          int               `json:"jobs"`
-	CorpusSamples int               `json:"corpus_samples"`
-	JobsRun       uint64            `json:"jobs_run"`
-	SeqMillis     float64           `json:"seq_wall_ms"`
-	ParMillis     float64           `json:"par_wall_ms"`
-	SeqJobsPerSec float64           `json:"seq_jobs_per_sec"`
-	ParJobsPerSec float64           `json:"par_jobs_per_sec"`
-	Speedup       float64           `json:"speedup"`
-	Identical     bool              `json:"identical"`
-	FeaturePath   featurePathReport `json:"featurepath"`
-	Kernel        kernelReport      `json:"kernel"`
-}
-
-// featurePathReport compares the per-window scoring path before and after
-// the columnar refactor: "old" allocates the derived vector and the feature
-// vector per sample (ExpandDerived + Vector), "new" runs the compiled
-// Expander and the detector's gather scratch with zero steady-state
-// allocations. Scores must agree bit-for-bit.
-type featurePathReport struct {
-	Samples           int     `json:"samples"`
-	OldSamplesPerSec  float64 `json:"old_samples_per_sec"`
-	NewSamplesPerSec  float64 `json:"new_samples_per_sec"`
-	OldBytesPerSample float64 `json:"old_bytes_per_sample"`
-	NewBytesPerSample float64 `json:"new_bytes_per_sample"`
-	Speedup           float64 `json:"speedup"`
-	Identical         bool    `json:"identical"`
-}
-
-// kernelReport compares the three generations of the scoring path on a
-// trained detector: "legacy" is the pre-kernel pipeline (full derived
-// expansion, in-place normalization, feature gather, network forward),
-// "fused" is the compiled float kernel (one pass over only the gathered
-// slots, bit-identical to legacy), and "quantized" is the int8 fixed-point
-// kernel (the paper's hardware arithmetic). All three run single-threaded,
-// so samples/sec is per core. Agreement is the fraction of windows where the
-// quantized verdict matches the fused one at their independently tuned
-// thresholds.
-type kernelReport struct {
-	Samples             int     `json:"samples"`
-	LegacyNsPerSample   float64 `json:"legacy_ns_per_sample"`
-	FusedNsPerSample    float64 `json:"fused_ns_per_sample"`
-	QuantNsPerSample    float64 `json:"quantized_ns_per_sample"`
-	LegacySamplesPerSec float64 `json:"legacy_samples_per_sec_core"`
-	FusedSamplesPerSec  float64 `json:"fused_samples_per_sec_core"`
-	QuantSamplesPerSec  float64 `json:"quantized_samples_per_sec_core"`
-	FusedSpeedup        float64 `json:"fused_speedup"`
-	QuantSpeedup        float64 `json:"quantized_speedup"`
-	FusedIdentical      bool    `json:"fused_identical"`
-	AgreementRate       float64 `json:"quantized_agreement_rate"`
-}
-
-// benchKernel trains the EVAX detector on the corpus, compiles the fused
-// kernels, and measures all three scoring paths over the raw windows.
-func benchKernel(ds *dataset.Dataset) (kernelReport, error) {
-	fs := detect.EVAXBase()
-	fs.SetEngineered(detect.DefaultEngineered(fs))
-	det := detect.NewPerceptron(1, fs)
-	idx := make([]int, len(ds.Samples))
-	for i := range idx {
-		idx[i] = i
-	}
-	topts := detect.DefaultTrainOptions()
-	topts.Epochs = 4
-	det.Train(ds, idx, topts)
-	var benignIdx []int
-	for i := range ds.Samples {
-		if !ds.Samples[i].Malicious {
-			benignIdx = append(benignIdx, i)
-		}
-	}
-	benign := make([]float64, len(benignIdx))
-	det.ScoreBatch(ds, benignIdx, benign)
-	det.TuneThresholdForFPR(benign, 0.05)
-
-	kern, err := detect.CompileScorer(det, ds.Maxima())
-	if err != nil {
-		return kernelReport{}, fmt.Errorf("evaxbench: compiling fused kernel: %w", err)
-	}
-	q, err := kernel.Quantize(kern)
-	if err != nil {
-		return kernelReport{}, fmt.Errorf("evaxbench: quantizing kernel: %w", err)
-	}
-	// Re-tune the quantized operating point on its own benign scores: the
-	// fixed-point score distribution shifts slightly against float.
-	qBenign := make([]float64, len(benignIdx))
-	for k, i := range benignIdx {
-		s := &ds.Samples[i]
-		qBenign[k] = q.ScoreRaw(s.Raw, s.Instructions, s.Cycles)
-	}
-	q.SetThreshold(detect.ThresholdForFPR(qBenign, 0.05))
-
-	// Stage the corpus contiguously — the shard-flush shape.
-	n := len(ds.Samples)
-	d := len(ds.Samples[0].Raw)
-	raw := make([]float64, n*d)
-	instr := make([]uint64, n)
-	cycles := make([]uint64, n)
-	for i := range ds.Samples {
-		s := &ds.Samples[i]
-		copy(raw[i*d:(i+1)*d], s.Raw)
-		instr[i] = s.Instructions
-		cycles[i] = s.Cycles
-	}
-	rounds := 1 + 20_000/n
-
-	time3 := func(score func()) (wall time.Duration) {
-		runtime.GC()
-		t0 := time.Now()
-		for r := 0; r < rounds; r++ {
-			score()
-		}
-		return time.Since(t0)
-	}
-
-	// Legacy: the pre-kernel per-window pipeline over the whole derived
-	// space, through the detector's gather scratch and network forward.
-	exp := hpc.NewExpander(d)
-	derived := make([]float64, exp.Dim())
-	vec := make([]float64, det.Plan.Dim())
-	legacyScores := make([]float64, n)
-	legacyWall := time3(func() {
-		for i := 0; i < n; i++ {
-			exp.ExpandInto(derived, hpc.Sample{Values: raw[i*d : (i+1)*d], Instructions: instr[i], Cycles: cycles[i]})
-			ds.NormalizeInPlace(derived)
-			det.Plan.GatherVector(vec, derived)
-			legacyScores[i] = det.ScoreVector(vec)
-		}
-	})
-
-	fusedScores := make([]float64, n)
-	fusedWall := time3(func() { kern.ScoreRawRows(raw, instr, cycles, fusedScores) })
-
-	quantScores := make([]float64, n)
-	quantWall := time3(func() { q.ScoreRawRows(raw, instr, cycles, quantScores) })
-
-	identical := true
-	for i := range legacyScores {
-		if math.Float64bits(legacyScores[i]) != math.Float64bits(fusedScores[i]) {
-			identical = false
-			break
-		}
-	}
-	agree := 0
-	for i := 0; i < n; i++ {
-		fusedFlag := fusedScores[i] >= kern.Threshold()
-		quantFlag := q.FlagRaw(raw[i*d:(i+1)*d], instr[i], cycles[i])
-		if fusedFlag == quantFlag {
-			agree++
-		}
-	}
-
-	total := float64(rounds * n)
-	r := kernelReport{
-		Samples:             n,
-		LegacyNsPerSample:   float64(legacyWall.Nanoseconds()) / total,
-		FusedNsPerSample:    float64(fusedWall.Nanoseconds()) / total,
-		QuantNsPerSample:    float64(quantWall.Nanoseconds()) / total,
-		LegacySamplesPerSec: total / legacyWall.Seconds(),
-		FusedSamplesPerSec:  total / fusedWall.Seconds(),
-		QuantSamplesPerSec:  total / quantWall.Seconds(),
-		FusedSpeedup:        legacyWall.Seconds() / fusedWall.Seconds(),
-		QuantSpeedup:        legacyWall.Seconds() / quantWall.Seconds(),
-		FusedIdentical:      identical,
-		AgreementRate:       float64(agree) / float64(n),
-	}
-	if !identical {
-		return r, fmt.Errorf("evaxbench: fused kernel diverged from the legacy scoring path")
-	}
-	if r.AgreementRate < 0.995 {
-		return r, fmt.Errorf("evaxbench: quantized verdict agreement %.4f below the 99.5%% gate", r.AgreementRate)
-	}
-	return r, nil
-}
-
-// benchFeaturePath scores every corpus window through both per-window
-// paths, measuring throughput and allocation per sample. The returned
-// dataset (maxima + normalized samples) feeds benchKernel.
-func benchFeaturePath(samples []dataset.Sample) (featurePathReport, *dataset.Dataset, error) {
-	ds := dataset.New(samples)
-	fs := detect.EVAXBase()
-	fs.SetEngineered(detect.DefaultEngineered(fs))
-	det := detect.NewPerceptron(1, fs)
-
-	// Rebuild the hpc windows the samples came from.
-	windows := make([]hpc.Sample, len(ds.Samples))
-	for i := range ds.Samples {
-		windows[i] = hpc.Sample{
-			Values:       ds.Samples[i].Raw,
-			Instructions: ds.Samples[i].Instructions,
-			Cycles:       ds.Samples[i].Cycles,
-		}
-	}
-	// Iterate enough rounds for stable wall-clock on quick corpora.
-	rounds := 1 + 20_000/len(windows)
-
-	measure := func(score func(hpc.Sample) float64) (scores []float64, perSec, bytesPer float64) {
-		scores = make([]float64, len(windows))
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		t0 := time.Now()
-		for r := 0; r < rounds; r++ {
-			for i := range windows {
-				scores[i] = score(windows[i])
-			}
-		}
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&ms1)
-		n := float64(rounds * len(windows))
-		return scores, n / wall.Seconds(), float64(ms1.TotalAlloc-ms0.TotalAlloc) / n
-	}
-
-	derivedDim := hpc.DerivedSpaceSize(len(windows[0].Values))
-	oldScores, oldPerSec, oldBytes := measure(func(s hpc.Sample) float64 {
-		derived := hpc.ExpandDerived(s) // allocates per sample
-		ds.NormalizeInPlace(derived)
-		return det.ScoreVector(det.Plan.Vector(derived)) // allocates again
-	})
-
-	exp := hpc.NewExpander(len(windows[0].Values))
-	scratch := make([]float64, derivedDim)
-	newScores, newPerSec, newBytes := measure(func(s hpc.Sample) float64 {
-		exp.ExpandInto(scratch, s)
-		ds.NormalizeInPlace(scratch)
-		return det.Score(scratch)
-	})
-
-	identical := true
-	for i := range oldScores {
-		if math.Float64bits(oldScores[i]) != math.Float64bits(newScores[i]) {
-			identical = false
-			break
-		}
-	}
-	r := featurePathReport{
-		Samples:           len(windows),
-		OldSamplesPerSec:  oldPerSec,
-		NewSamplesPerSec:  newPerSec,
-		OldBytesPerSample: oldBytes,
-		NewBytesPerSample: newBytes,
-		Speedup:           newPerSec / oldPerSec,
-		Identical:         identical,
-	}
-	if !identical {
-		return r, ds, fmt.Errorf("evaxbench: columnar feature path diverged from the allocating reference")
-	}
-	return r, ds, nil
+	GOMAXPROCS    int     `json:"gomaxprocs"`
+	Jobs          int     `json:"jobs"`
+	CorpusSamples int     `json:"corpus_samples"`
+	JobsRun       uint64  `json:"jobs_run"`
+	SeqMillis     float64 `json:"seq_wall_ms"`
+	ParMillis     float64 `json:"par_wall_ms"`
+	SeqJobsPerSec float64 `json:"seq_jobs_per_sec"`
+	ParJobsPerSec float64 `json:"par_jobs_per_sec"`
+	Speedup       float64 `json:"speedup"`
+	Identical     bool    `json:"identical"`
 }
 
 // writeBenchJSON times corpus generation at -jobs 1 versus the requested
@@ -448,11 +205,7 @@ func writeBenchJSON(path string, jobs int, quick bool) error {
 	par := dataset.CollectAll(o)
 	parWall := time.Since(t1)
 
-	// Equivalence first: benchFeaturePath normalizes par in place.
 	identical := reflect.DeepEqual(seq, par)
-	fp, fpDS, fpErr := benchFeaturePath(par)
-	kr, krErr := benchKernel(fpDS)
-
 	r := benchReport{
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Jobs:          jobs,
@@ -464,8 +217,6 @@ func writeBenchJSON(path string, jobs int, quick bool) error {
 		ParJobsPerSec: float64(perRun) / parWall.Seconds(),
 		Speedup:       seqWall.Seconds() / parWall.Seconds(),
 		Identical:     identical,
-		FeaturePath:   fp,
-		Kernel:        kr,
 	}
 	// Merge rather than overwrite: other tools (evaxload's `serving`
 	// section) contribute their own keys to the same report file.
@@ -474,19 +225,10 @@ func writeBenchJSON(path string, jobs int, quick bool) error {
 	}
 	fmt.Printf("runner bench: %d jobs  seq=%v  par(%d)=%v  speedup=%.2fx  identical=%v -> %s\n",
 		r.JobsRun, seqWall.Round(time.Millisecond), jobs, parWall.Round(time.Millisecond), r.Speedup, r.Identical, path)
-	fmt.Printf("feature path: %d windows  old=%.0f/s (%.0f B/sample)  new=%.0f/s (%.0f B/sample)  speedup=%.2fx  identical=%v\n",
-		fp.Samples, fp.OldSamplesPerSec, fp.OldBytesPerSample, fp.NewSamplesPerSec, fp.NewBytesPerSample, fp.Speedup, fp.Identical)
-	fmt.Printf("kernel: %d windows  legacy=%.0f/s (%.0f ns)  fused=%.0f/s (%.0f ns, %.2fx, identical=%v)  quantized=%.0f/s (%.0f ns, %.2fx, agreement=%.4f)\n",
-		kr.Samples, kr.LegacySamplesPerSec, kr.LegacyNsPerSample,
-		kr.FusedSamplesPerSec, kr.FusedNsPerSample, kr.FusedSpeedup, kr.FusedIdentical,
-		kr.QuantSamplesPerSec, kr.QuantNsPerSample, kr.QuantSpeedup, kr.AgreementRate)
 	if !r.Identical {
 		return fmt.Errorf("evaxbench: parallel corpus diverged from sequential reference")
 	}
-	if fpErr != nil {
-		return fpErr
-	}
-	return krErr
+	return nil
 }
 
 func run(id string, lab *experiments.Lab, resumeDir string) (fmt.Stringer, error) {

@@ -8,51 +8,24 @@ import (
 )
 
 // DetectorFlagger bridges a trained detector into the controller: each
-// sampling window is scored by the fused kernel — expansion, normalization
-// and the dot product in a single pass over the raw counters — compiled
-// lazily on the first window. Detectors outside the kernel's single-layer
-// model fall back to the legacy expand→normalize→score pipeline. Either way
-// the steady-state FlagWindow path performs no heap allocations.
+// sampling window is scored by the detector's compiled backend — for the
+// single-layer EVAX model the fused kernel, which expands, normalizes and
+// takes the dot product in one pass over the raw counters. The steady-state
+// FlagWindow path performs no heap allocations.
 type DetectorFlagger struct {
-	Det *detect.Detector
-	DS  *dataset.Dataset
-
-	kern      *kernel.Scorer
-	kernTried bool
-
-	// Legacy fallback (deep detectors): expansion plan + derived-row scratch.
-	exp     *hpc.Expander
-	derived []float64
+	be kernel.Backend
 }
 
-// NewDetectorFlagger wires det (trained on ds) into the controller.
+// NewDetectorFlagger wires det (trained on ds) into the controller,
+// compiling its backend up front. The backend snapshots the detector's
+// weights and threshold: tune the detector before wrapping it.
 func NewDetectorFlagger(det *detect.Detector, ds *dataset.Dataset) *DetectorFlagger {
-	return &DetectorFlagger{Det: det, DS: ds}
+	return &DetectorFlagger{be: detect.CompileBackend(det, ds.Maxima())}
 }
 
-// FlagWindow implements Flagger. Steady state allocates nothing; the fused
-// kernel (or the fallback plan and scratch row) compiles lazily on the first
-// window or on a counter-set change, which is the only allocating path.
+// FlagWindow implements Flagger. Zero allocations.
 //
 //evaxlint:hotpath
 func (f *DetectorFlagger) FlagWindow(s hpc.Sample) bool {
-	if f.kern != nil && f.kern.RawDim() == len(s.Values) {
-		return f.kern.ScoreRaw(s.Values, s.Instructions, s.Cycles) >= f.Det.Threshold
-	}
-	if !f.kernTried || (f.kern != nil && f.kern.RawDim() != len(s.Values)) {
-		f.kernTried = true
-		k, err := detect.CompileScorer(f.Det, f.DS.Maxima()) //evaxlint:ignore hotpath one-time lazy kernel compile on the first window
-		if err == nil && k.RawDim() == len(s.Values) {
-			f.kern = k
-			return f.kern.ScoreRaw(s.Values, s.Instructions, s.Cycles) >= f.Det.Threshold
-		}
-		f.kern = nil
-	}
-	if f.exp == nil || f.exp.Dim() != hpc.DerivedSpaceSize(len(s.Values)) {
-		f.exp = hpc.NewExpander(len(s.Values))   //evaxlint:ignore hotpath one-time lazy plan compile on the first window
-		f.derived = make([]float64, f.exp.Dim()) //evaxlint:ignore hotpath scratch row allocated once with the plan
-	}
-	f.exp.ExpandInto(f.derived, s)
-	f.DS.NormalizeInPlace(f.derived)
-	return f.Det.Flag(f.derived)
+	return f.be.ScoreRaw(s.Values, s.Instructions, s.Cycles) >= f.be.Threshold()
 }

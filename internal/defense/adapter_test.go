@@ -14,6 +14,12 @@ import (
 // trainFlagger builds a small corpus and detector for adapter tests.
 func trainFlagger(t *testing.T) *DetectorFlagger {
 	t.Helper()
+	return NewDetectorFlagger(trainDetector(t))
+}
+
+// trainDetector trains and tunes the detector trainFlagger wraps.
+func trainDetector(t *testing.T) (*detect.Detector, *dataset.Dataset) {
+	t.Helper()
 	var samples []dataset.Sample
 	cfg := sim.DefaultConfig()
 	for _, w := range workload.All()[:5] {
@@ -38,7 +44,7 @@ func trainFlagger(t *testing.T) *DetectorFlagger {
 		}
 	}
 	d.TuneThresholdForFPR(benign, 0.02)
-	return NewDetectorFlagger(d, ds)
+	return d, ds
 }
 
 func TestDetectorFlaggerEndToEnd(t *testing.T) {
@@ -85,16 +91,22 @@ func TestDetectorFlaggerReducesLeakage(t *testing.T) {
 }
 
 func TestBundleRoundTrip(t *testing.T) {
-	fl := trainFlagger(t)
+	det, ds := trainDetector(t)
+	fl := NewDetectorFlagger(det, ds)
 	path := t.TempDir() + "/bundle.json"
-	if err := SaveBundle(path, fl.Det, fl.DS); err != nil {
+	if err := SaveBundle(path, det, ds); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadBundle(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The loaded flagger must agree with the original on live windows.
+	gotDet, gotDS, err := DecodeBundle(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := NewDetectorFlagger(gotDet, gotDS)
+	// The decoded flagger must agree with the original on live windows.
 	dcfg := DefaultConfig(sim.PolicyInvisiSpecSpectre)
 	dcfg.SampleInterval = 1000
 	a := RunProgram(sim.DefaultConfig(), attacks.SpectrePHT(77, 10), fl, dcfg, 1_000_000)
@@ -105,27 +117,14 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadBundleRejectsGarbage: bundle bytes that are not JSON, or carry
+// neither a detector nor maxima, never decode. (A missing bundle file is
+// engine.Load's concern, covered by its own tests.)
 func TestLoadBundleRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	bad := dir + "/bad.json"
-	if err := writeTestFile(bad, "{oops"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBundle(bad); err == nil {
+	if _, _, err := DecodeBundle([]byte("{oops")); err == nil {
 		t.Fatal("garbage bundle accepted")
 	}
-	empty := dir + "/empty.json"
-	if err := writeTestFile(empty, `{"detector":null,"maxima":[]}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBundle(empty); err == nil {
+	if _, _, err := DecodeBundle([]byte(`{"detector":null,"maxima":[]}`)); err == nil {
 		t.Fatal("empty bundle accepted")
 	}
-	if _, err := LoadBundle(dir + "/missing.json"); err == nil {
-		t.Fatal("missing bundle accepted")
-	}
-}
-
-func writeTestFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

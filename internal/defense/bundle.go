@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 
 	"evax/internal/dataset"
 	"evax/internal/detect"
@@ -77,35 +76,4 @@ func DecodeBundle(data []byte) (*detect.Detector, *dataset.Dataset, error) {
 		}
 	}
 	return det, dataset.FromMaxima(b.Maxima), nil
-}
-
-// LoadBundle reads a bundle and returns a ready-to-run Flagger. Outside
-// internal/engine prefer engine.Load: it wraps the same validation in a
-// versioned, hashed Generation that can be hot-swapped (the evaxlint
-// bundleload rule confines this loader accordingly).
-func LoadBundle(path string) (*DetectorFlagger, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	det, ds, err := DecodeBundle(data)
-	if err != nil {
-		return nil, fmt.Errorf("defense: bundle %s: %w", path, err)
-	}
-	return NewDetectorFlagger(det, ds), nil
-}
-
-// LoadBundleOrSecure loads a detection bundle, degrading gracefully when the
-// bundle is missing, torn, or fails validation: instead of refusing to run,
-// it returns the AlwaysOn flagger — the paper's safe default, which keeps
-// every window inside the secure policy (full protection, no performance
-// recovery) until a valid detector update arrives. The validation error is
-// returned alongside so callers can report why the fallback engaged; the
-// returned Flagger is usable either way.
-func LoadBundleOrSecure(path string) (Flagger, error) {
-	fl, err := LoadBundle(path)
-	if err != nil {
-		return AlwaysOn, err
-	}
-	return fl, nil
 }

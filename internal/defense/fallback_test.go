@@ -1,4 +1,4 @@
-package defense
+package defense_test
 
 import (
 	"encoding/json"
@@ -11,44 +11,54 @@ import (
 
 	"evax/internal/attacks"
 	"evax/internal/dataset"
+	"evax/internal/defense"
 	"evax/internal/detect"
+	"evax/internal/engine"
 	"evax/internal/faultinject"
 	"evax/internal/hpc"
 	"evax/internal/safeio"
 	"evax/internal/sim"
 )
 
-// syntheticBundle writes a structurally valid bundle without training: an
-// untrained perceptron over the EVAX feature set plus unit maxima spanning
-// the derived space. Validation tests only need shape, not accuracy.
-func syntheticBundle(t *testing.T, path string) (*detect.Detector, *dataset.Dataset) {
-	t.Helper()
+// The graceful-degradation contract: a bundle that cannot be trusted brings
+// the controller up always-secure. Bundles reach the controller only through
+// engine.LoadFlaggerOrSecure (the evaxlint bundleload rule), so these tests
+// live in an external test package and drive that loader.
+
+// syntheticParts builds an untrained perceptron over the EVAX feature set
+// plus maxima spanning the derived space, all set to fill.
+func syntheticParts(fill float64) (*detect.Detector, *dataset.Dataset) {
 	fs := detect.EVAXBase()
 	fs.SetEngineered(detect.DefaultEngineered(fs))
-	d := detect.NewPerceptron(3, fs)
 	maxima := make([]float64, hpc.DerivedSpaceSize(sim.CounterCatalog().Len()))
 	for i := range maxima {
-		maxima[i] = 1
+		maxima[i] = fill
 	}
-	ds := dataset.FromMaxima(maxima)
-	if err := SaveBundle(path, d, ds); err != nil {
+	return detect.NewPerceptron(3, fs), dataset.FromMaxima(maxima)
+}
+
+// syntheticBundle writes a structurally valid bundle without training.
+func syntheticBundle(t *testing.T, path string) (*detect.Detector, *dataset.Dataset) {
+	t.Helper()
+	d, ds := syntheticParts(1)
+	if err := defense.SaveBundle(path, d, ds); err != nil {
 		t.Fatal(err)
 	}
 	return d, ds
 }
 
-// corruptBundle rewrites path with a mutated copy of the bundle it holds.
-func corruptBundle(t *testing.T, path string, mutate func(b *bundle)) {
+// corruptBundle rewrites one top-level field of the bundle at path.
+func corruptBundle(t *testing.T, path, field string, mutate func(json.RawMessage) json.RawMessage) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b bundle
+	var b map[string]json.RawMessage
 	if err := json.Unmarshal(data, &b); err != nil {
 		t.Fatal(err)
 	}
-	mutate(&b)
+	b[field] = mutate(b[field])
 	out, err := json.Marshal(b)
 	if err != nil {
 		t.Fatal(err)
@@ -58,75 +68,10 @@ func corruptBundle(t *testing.T, path string, mutate func(b *bundle)) {
 	}
 }
 
-// TestLoadBundleRejectsMalformedBundles: each way a bundle can be broken is
-// rejected with its own distinct error before any flagger is built — a
-// maxima-length mismatch in particular would otherwise panic inside
-// NormalizeInPlace on the first sampled window.
-func TestLoadBundleRejectsMalformedBundles(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(t *testing.T, b *bundle)
-		want   string
-	}{
-		{
-			name:   "maxima too short",
-			mutate: func(t *testing.T, b *bundle) { b.Maxima = b.Maxima[:len(b.Maxima)-1] },
-			want:   "maxima for a",
-		},
-		{
-			name:   "maxima too long",
-			mutate: func(t *testing.T, b *bundle) { b.Maxima = append(b.Maxima, 1) },
-			want:   "maxima for a",
-		},
-		{
-			name:   "negative maximum",
-			mutate: func(t *testing.T, b *bundle) { b.Maxima[2] = -4 },
-			want:   "is negative",
-		},
-		{
-			name: "malformed detector patch",
-			mutate: func(t *testing.T, b *bundle) {
-				b.Detector = json.RawMessage(`{"layers":[]}`)
-			},
-			want: "holds no layers",
-		},
-		{
-			name: "detector patch with hostile index",
-			mutate: func(t *testing.T, b *bundle) {
-				var sd map[string]any
-				if err := json.Unmarshal(b.Detector, &sd); err != nil {
-					t.Fatal(err)
-				}
-				sd["indices"].([]any)[0] = float64(1 << 30)
-				out, err := json.Marshal(sd)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b.Detector = out
-			},
-			want: "outside derived space",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "bundle.json")
-			syntheticBundle(t, path)
-			corruptBundle(t, path, func(b *bundle) { tc.mutate(t, b) })
-			_, err := LoadBundle(path)
-			if err == nil {
-				t.Fatal("malformed bundle accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want message containing %q", err, tc.want)
-			}
-		})
-	}
-}
-
 // isAlwaysOn reports whether fl is the AlwaysOn flagger (func identity).
-func isAlwaysOn(fl Flagger) bool {
-	f, ok := fl.(FlaggerFunc)
-	return ok && reflect.ValueOf(f).Pointer() == reflect.ValueOf(AlwaysOn).Pointer()
+func isAlwaysOn(fl defense.Flagger) bool {
+	f, ok := fl.(defense.FlaggerFunc)
+	return ok && reflect.ValueOf(f).Pointer() == reflect.ValueOf(defense.AlwaysOn).Pointer()
 }
 
 // TestLoadBundleOrSecureFallsBack: every failure mode — missing file,
@@ -145,18 +90,18 @@ func TestLoadBundleOrSecureFallsBack(t *testing.T) {
 		},
 		"malformed detector": func(path string) {
 			syntheticBundle(t, path)
-			corruptBundle(t, path, func(b *bundle) { b.Detector = json.RawMessage(`null`) })
+			corruptBundle(t, path, "detector", func(json.RawMessage) json.RawMessage { return json.RawMessage(`null`) })
 		},
 		"truncated maxima": func(path string) {
 			syntheticBundle(t, path)
-			corruptBundle(t, path, func(b *bundle) { b.Maxima = b.Maxima[:3] })
+			corruptBundle(t, path, "maxima", func(json.RawMessage) json.RawMessage { return json.RawMessage(`[1,1,1]`) })
 		},
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".json")
 			corrupt(path)
-			fl, err := LoadBundleOrSecure(path)
+			fl, err := engine.LoadFlaggerOrSecure(path)
 			if err == nil {
 				t.Fatal("broken bundle loaded without reporting a cause")
 			}
@@ -169,12 +114,12 @@ func TestLoadBundleOrSecureFallsBack(t *testing.T) {
 	// A valid bundle loads normally: no error, a real detector flagger.
 	path := filepath.Join(dir, "good.json")
 	syntheticBundle(t, path)
-	fl, err := LoadBundleOrSecure(path)
+	fl, err := engine.LoadFlaggerOrSecure(path)
 	if err != nil {
 		t.Fatalf("valid bundle rejected: %v", err)
 	}
-	if _, ok := fl.(*DetectorFlagger); !ok {
-		t.Fatalf("valid bundle yielded %T, want *DetectorFlagger", fl)
+	if _, ok := fl.(*engine.Scorer); !ok {
+		t.Fatalf("valid bundle yielded %T, want *engine.Scorer", fl)
 	}
 }
 
@@ -187,18 +132,18 @@ func TestTornBundleUpdateKeepsOldBundle(t *testing.T) {
 	det, ds := syntheticBundle(t, path)
 
 	restore := safeio.SetHook(faultinject.TornWriteHook(0))
-	err := SaveBundle(path, det, ds)
+	err := defense.SaveBundle(path, det, ds)
 	restore()
 	if !errors.Is(err, safeio.ErrTorn) {
 		t.Fatalf("torn save err = %v, want ErrTorn", err)
 	}
 
-	fl, err := LoadBundleOrSecure(path)
+	fl, err := engine.LoadFlaggerOrSecure(path)
 	if err != nil {
 		t.Fatalf("old bundle unreadable after torn update: %v", err)
 	}
-	if _, ok := fl.(*DetectorFlagger); !ok {
-		t.Fatalf("flagger is %T, want the previous *DetectorFlagger", fl)
+	if _, ok := fl.(*engine.Scorer); !ok {
+		t.Fatalf("flagger is %T, want the previous bundle's *engine.Scorer", fl)
 	}
 }
 
@@ -208,27 +153,23 @@ func TestTornBundleUpdateKeepsOldBundle(t *testing.T) {
 // graceful degradation end to end.
 func TestTornFirstSaveFallsBackSecure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bundle.json")
-	fs := detect.EVAXBase()
-	fs.SetEngineered(detect.DefaultEngineered(fs))
-	det := detect.NewPerceptron(3, fs)
-	maxima := make([]float64, hpc.DerivedSpaceSize(sim.CounterCatalog().Len()))
-	ds := dataset.FromMaxima(maxima)
+	det, ds := syntheticParts(0)
 
 	restore := safeio.SetHook(faultinject.TornWriteHook(0))
-	err := SaveBundle(path, det, ds)
+	err := defense.SaveBundle(path, det, ds)
 	restore()
 	if !errors.Is(err, safeio.ErrTorn) {
 		t.Fatalf("torn save err = %v, want ErrTorn", err)
 	}
 
-	fl, err := LoadBundleOrSecure(path)
+	fl, err := engine.LoadFlaggerOrSecure(path)
 	if err == nil || !isAlwaysOn(fl) {
 		t.Fatalf("want AlwaysOn fallback with cause, got %T, err %v", fl, err)
 	}
 
-	dcfg := DefaultConfig(sim.PolicyInvisiSpecSpectre)
+	dcfg := defense.DefaultConfig(sim.PolicyInvisiSpecSpectre)
 	dcfg.SampleInterval = 1000
-	res := RunProgram(sim.DefaultConfig(), attacks.SpectrePHT(77, 10), fl, dcfg, 1_000_000)
+	res := defense.RunProgram(sim.DefaultConfig(), attacks.SpectrePHT(77, 10), fl, dcfg, 1_000_000)
 	if res.Windows == 0 {
 		t.Fatal("no windows sampled")
 	}

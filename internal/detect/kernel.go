@@ -1,7 +1,8 @@
 // Fused-kernel integration: detect compiles its FeaturePlan + model into a
 // kernel.Scorer (the package boundary runs this direction — kernel must not
-// import detect), caches a derived-space kernel per detector, and exposes
-// the batch scoring entry points the experiment drivers use.
+// import detect), wraps every detector as a kernel.Backend for the online
+// consumers, caches a derived-space kernel per detector, and exposes the
+// batch scoring entry points the experiment drivers use.
 package detect
 
 import (
@@ -67,6 +68,72 @@ func CompileScorer(d *Detector, maxima []float64) (*kernel.Scorer, error) {
 		cfg.RawDim = maxIdx/int(hpc.NumDerivedKinds) + 1
 	}
 	return kernel.Compile(cfg)
+}
+
+// CompileBackend compiles the detector into the backend every online
+// consumer scores through, and is the one place that chooses it: the fused
+// float kernel (CompileScorer) when the detector compiles to one, otherwise
+// a network backend that expands the window, normalizes it by maxima (the
+// full derived-space vector, dataset.Maxima()) and runs Detector.Score on a
+// private clone. Both snapshot the detector's weights and threshold, so
+// retuning the detector afterwards does not reach the backend.
+func CompileBackend(d *Detector, maxima []float64) kernel.Backend {
+	if k, err := CompileScorer(d, maxima); err == nil {
+		return k
+	}
+	exp := hpc.NewExpander(len(maxima) / int(hpc.NumDerivedKinds))
+	return &netBackend{
+		det:     d.Clone(),
+		norm:    dataset.FromMaxima(maxima),
+		exp:     exp,
+		derived: make([]float64, exp.Dim()),
+	}
+}
+
+// netBackend scores detectors outside the kernel's single-layer model (the
+// deep networks of Figure 20) through the three-pass pipeline: expand every
+// derived slot, normalize, then gather and run the network forward. The
+// expander and normalizer are shared by clones; the detector clone and the
+// derived row are per-clone scratch.
+type netBackend struct {
+	det     *Detector
+	norm    *dataset.Dataset
+	exp     *hpc.Expander
+	derived []float64
+}
+
+// ScoreRaw implements kernel.Backend. Zero allocations in steady state.
+//
+//evaxlint:hotpath
+func (b *netBackend) ScoreRaw(values []float64, instructions, cycles uint64) float64 {
+	b.exp.ExpandInto(b.derived, hpc.Sample{Values: values, Instructions: instructions, Cycles: cycles})
+	b.norm.NormalizeInPlace(b.derived)
+	return b.det.Score(b.derived)
+}
+
+// ScoreRawRows implements kernel.Backend, one row at a time.
+//
+//evaxlint:hotpath
+func (b *netBackend) ScoreRawRows(raw []float64, instr, cycles []uint64, out []float64) {
+	d := b.RawDim()
+	if len(raw) != len(out)*d || len(instr) != len(out) || len(cycles) != len(out) {
+		panic(fmt.Sprintf("detect: ScoreRawRows dims: raw %d (want %d), instr %d, cycles %d, out %d",
+			len(raw), len(out)*d, len(instr), len(cycles), len(out)))
+	}
+	for i := range out {
+		out[i] = b.ScoreRaw(raw[i*d:(i+1)*d], instr[i], cycles[i])
+	}
+}
+
+// Threshold implements kernel.Backend.
+func (b *netBackend) Threshold() float64 { return b.det.Threshold }
+
+// RawDim implements kernel.Backend.
+func (b *netBackend) RawDim() int { return b.exp.Dim() / int(hpc.NumDerivedKinds) }
+
+// CloneBackend implements kernel.Backend.
+func (b *netBackend) CloneBackend() kernel.Backend {
+	return &netBackend{det: b.det.Clone(), norm: b.norm, exp: b.exp, derived: make([]float64, len(b.derived))}
 }
 
 // derivedKernel returns the detector's cached derived-space kernel, compiling

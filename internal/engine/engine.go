@@ -23,7 +23,6 @@ import (
 	"evax/internal/dataset"
 	"evax/internal/defense"
 	"evax/internal/detect"
-	"evax/internal/hpc"
 	"evax/internal/kernel"
 	"evax/internal/safeio"
 )
@@ -59,12 +58,10 @@ type Generation struct {
 	backend string
 	data    []byte // encoded bundle bytes, the unit the manager persists
 
-	det    *detect.Detector
-	ds     *dataset.Dataset
-	rawDim int
+	det *detect.Detector
+	ds  *dataset.Dataset
 
-	// be is the compiled master backend (nil for deep detectors, which
-	// score through the legacy three-pass pipeline per scorer).
+	// be is the compiled master backend; scorers clone it.
 	be kernel.Backend
 }
 
@@ -78,29 +75,20 @@ func build(det *detect.Detector, ds *dataset.Dataset, backend, path string, data
 		det:     det,
 		ds:      ds,
 	}
-	k, err := detect.CompileScorer(det, ds.Maxima())
 	switch backend {
 	case BackendQuantized:
+		k, err := detect.CompileScorer(det, ds.Maxima())
 		if err != nil {
 			return nil, fmt.Errorf("engine: quantized backend: %w", err)
 		}
-		q, qerr := kernel.Quantize(k)
-		if qerr != nil {
-			return nil, fmt.Errorf("engine: quantized backend: %w", qerr)
+		q, err := kernel.Quantize(k)
+		if err != nil {
+			return nil, fmt.Errorf("engine: quantized backend: %w", err)
 		}
 		g.be = q
-		g.rawDim = k.RawDim()
 	case BackendFloat, "":
 		g.backend = BackendFloat
-		if err == nil {
-			g.be = k
-			g.rawDim = k.RawDim()
-		} else {
-			// Deep detector: keep the legacy expand→normalize→score path;
-			// the raw dimension follows from the derived space the
-			// normalizer covers.
-			g.rawDim = ds.DerivedDim / int(hpc.NumDerivedKinds)
-		}
+		g.be = detect.CompileBackend(det, ds.Maxima())
 	default:
 		return nil, fmt.Errorf("engine: unknown backend %q (want %q or %q)", backend, BackendFloat, BackendQuantized)
 	}
@@ -155,19 +143,14 @@ func (g *Generation) HashHex() string { return fmt.Sprintf("%016x", g.hash) }
 func (g *Generation) Path() string { return g.path }
 
 // Backend returns the compiled backend selector (BackendFloat for deep
-// detectors, which fall back to the legacy pipeline).
+// detectors, which score through the network).
 func (g *Generation) Backend() string { return g.backend }
 
 // RawDim returns the base counter-space width clients must stream.
-func (g *Generation) RawDim() int { return g.rawDim }
+func (g *Generation) RawDim() int { return g.be.RawDim() }
 
 // Threshold exposes the decision boundary of the compiled backend.
-func (g *Generation) Threshold() float64 {
-	if g.be != nil {
-		return g.be.Threshold()
-	}
-	return g.det.Threshold
-}
+func (g *Generation) Threshold() float64 { return g.be.Threshold() }
 
 // Detector returns the decoded detector. Callers must not mutate it; clone
 // first (generations are immutable).
@@ -176,10 +159,9 @@ func (g *Generation) Detector() *detect.Detector { return g.det }
 // Dataset returns the normalizer the detector was trained with.
 func (g *Generation) Dataset() *dataset.Dataset { return g.ds }
 
-// Flagger returns a defense controller flagger pinned to this generation.
-func (g *Generation) Flagger() defense.Flagger {
-	return defense.NewDetectorFlagger(g.det, g.ds)
-}
+// Flagger returns a defense controller flagger pinned to this generation:
+// a private scorer, flagging on the generation's own backend.
+func (g *Generation) Flagger() defense.Flagger { return g.NewScorer() }
 
 // LoadFlaggerOrSecure loads a bundle into a generation and returns its
 // flagger, degrading to the AlwaysOn flagger when the bundle is missing,

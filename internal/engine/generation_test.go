@@ -204,7 +204,7 @@ func isAlwaysOn(fl defense.Flagger) bool {
 
 // TestLoadFlaggerOrSecure: a broken or missing bundle degrades to the
 // always-secure flagger with the cause reported; a valid bundle yields the
-// generation's detector flagger.
+// generation's scorer as its flagger.
 func TestLoadFlaggerOrSecure(t *testing.T) {
 	fl, err := LoadFlaggerOrSecure(filepath.Join(t.TempDir(), "missing.json"))
 	if err == nil || !isAlwaysOn(fl) {
@@ -220,7 +220,7 @@ func TestLoadFlaggerOrSecure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid bundle rejected: %v", err)
 	}
-	if _, ok := fl.(*defense.DetectorFlagger); !ok {
-		t.Fatalf("valid bundle yielded %T, want *defense.DetectorFlagger", fl)
+	if _, ok := fl.(*Scorer); !ok {
+		t.Fatalf("valid bundle yielded %T, want *Scorer", fl)
 	}
 }

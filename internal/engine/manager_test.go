@@ -286,9 +286,9 @@ func TestOpenRecoversFallbackWhenActiveBroken(t *testing.T) {
 	}
 
 	// The staged generation files are plain bundles; with both torn, the
-	// defense loader degrades to always-secure rather than refusing to run.
+	// flagger loader degrades to always-secure rather than refusing to run.
 	for _, path := range []string{activeFile, fallbackFile} {
-		fl, err := defense.LoadBundleOrSecure(path)
+		fl, err := LoadFlaggerOrSecure(path)
 		if err == nil || !isAlwaysOn(fl) {
 			t.Fatalf("%s: flagger %T err %v, want AlwaysOn with cause", path, fl, err)
 		}

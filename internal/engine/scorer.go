@@ -1,29 +1,19 @@
 package engine
 
 import (
-	"evax/internal/dataset"
-	"evax/internal/detect"
 	"evax/internal/hpc"
 	"evax/internal/kernel"
 )
 
-// Scorer is one consumer's handle on a generation's scoring pipeline: the
-// compiled kernel shared with the generation plus private scratch (a kernel
-// clone, or for deep detectors a detector clone and expansion row). A
-// scorer is single-goroutine; each serve shard, replay worker, and flagger
-// holds its own. After construction the score path performs zero heap
-// allocations, and the float path is bit-identical to
-// detect.Detector.Score over the same rows.
+// Scorer is one consumer's handle on a generation's scoring pipeline: a
+// clone of the generation's compiled backend, sharing its compiled state
+// with private scratch. A scorer is single-goroutine; each serve shard,
+// replay worker, and flagger holds its own. After construction the score
+// path performs zero heap allocations, and the float path is bit-identical
+// to detect.Detector.Score over the same rows.
 type Scorer struct {
-	gen    *Generation
-	be     kernel.Backend
-	rawDim int
-
-	// Legacy fallback (deep detectors): detector clone + expansion scratch.
-	det     *detect.Detector
-	ds      *dataset.Dataset
-	exp     *hpc.Expander
-	derived []float64
+	gen *Generation
+	be  kernel.Backend
 }
 
 // NewScorer builds a private scoring handle on the generation. All fallible
@@ -31,17 +21,7 @@ type Scorer struct {
 // was built, so handle construction cannot fail — which is what lets the
 // serve hot path rebuild its handle inline when a swap lands.
 func (g *Generation) NewScorer() *Scorer {
-	sc := &Scorer{gen: g, rawDim: g.rawDim}
-	if g.be != nil {
-		sc.be = g.be.CloneBackend()
-		return sc
-	}
-	exp := hpc.NewExpander(g.rawDim)
-	sc.det = g.det.Clone()
-	sc.ds = g.ds
-	sc.exp = exp
-	sc.derived = make([]float64, exp.Dim())
-	return sc
+	return &Scorer{gen: g, be: g.be.CloneBackend()}
 }
 
 // Generation returns the generation this scorer was resolved from —
@@ -50,37 +30,25 @@ func (sc *Scorer) Generation() *Generation { return sc.gen }
 
 // Score runs the pipeline on one raw window. Zero allocations.
 func (sc *Scorer) Score(raw []float64, instructions, cycles uint64) float64 {
-	if sc.be != nil {
-		return sc.be.ScoreRaw(raw, instructions, cycles)
-	}
-	sc.exp.ExpandInto(sc.derived, hpc.Sample{
-		Values:       raw,
-		Instructions: instructions,
-		Cycles:       cycles,
-	})
-	sc.ds.NormalizeInPlace(sc.derived)
-	return sc.det.Score(sc.derived)
+	return sc.be.ScoreRaw(raw, instructions, cycles)
 }
 
-// ScoreBatch scores rows of contiguous raw windows (len(out) rows of rawDim
-// values) — the shard flush form, one fused-kernel sweep over the whole
+// ScoreBatch scores rows of contiguous raw windows (len(out) rows of
+// RawDim values) — the shard flush form, one backend sweep over the whole
 // batch. Zero allocations.
 //
 //evaxlint:hotpath
 func (sc *Scorer) ScoreBatch(raw []float64, instr, cycles []uint64, out []float64) {
-	if sc.be != nil {
-		sc.be.ScoreRawRows(raw, instr, cycles, out)
-		return
-	}
-	for i := range out {
-		out[i] = sc.Score(raw[i*sc.rawDim:(i+1)*sc.rawDim], instr[i], cycles[i])
-	}
+	sc.be.ScoreRawRows(raw, instr, cycles, out)
 }
 
 // Threshold exposes the decision boundary of the compiled backend.
-func (sc *Scorer) Threshold() float64 {
-	if sc.be != nil {
-		return sc.be.Threshold()
-	}
-	return sc.det.Threshold
+func (sc *Scorer) Threshold() float64 { return sc.be.Threshold() }
+
+// FlagWindow implements defense.Flagger: one sampling window scored against
+// the generation's threshold. Zero allocations.
+//
+//evaxlint:hotpath
+func (sc *Scorer) FlagWindow(s hpc.Sample) bool {
+	return sc.be.ScoreRaw(s.Values, s.Instructions, s.Cycles) >= sc.be.Threshold()
 }

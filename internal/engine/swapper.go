@@ -95,20 +95,17 @@ func (s *Swapper) Flagger() defense.Flagger {
 // swapFlagger adapts the swapper to defense.Flagger. Single-goroutine, like
 // every controller flagger.
 type swapFlagger struct {
-	sw  *Swapper
-	gen *Generation
-	fl  *defense.DetectorFlagger
+	sw *Swapper
+	sc *Scorer
 }
 
-// FlagWindow implements defense.Flagger, re-resolving the pipeline only
-// when the active generation changed.
+// FlagWindow implements defense.Flagger, re-resolving the scorer only when
+// the active generation changed.
 //
 //evaxlint:hotpath
 func (f *swapFlagger) FlagWindow(s hpc.Sample) bool {
-	g := f.sw.Active()
-	if g != f.gen {
-		f.fl = defense.NewDetectorFlagger(g.det, g.ds) //evaxlint:ignore hotpath per-swap flagger rebuild; steady state reuses the cached pipeline
-		f.gen = g
+	if g := f.sw.Active(); f.sc == nil || f.sc.Generation() != g {
+		f.sc = g.NewScorer() //evaxlint:ignore hotpath per-swap scorer rebuild; steady state reuses the cached scorer
 	}
-	return f.fl.FlagWindow(s)
+	return f.sc.FlagWindow(s)
 }

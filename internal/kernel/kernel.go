@@ -362,13 +362,16 @@ func (s *Scorer) ScoreBase(base []float64) float64 {
 	return sigmoid(z)
 }
 
-// Backend is the scoring interface the serving path binds to: one raw
-// window, a contiguous raw block, and the decision boundary. Both the float
-// and the quantized scorer implement it.
+// Backend is the scoring interface every online consumer binds to: one raw
+// window, a contiguous raw block, the decision boundary and the row width.
+// The float and the quantized scorer implement it, and so does detect's
+// network backend for detectors the kernel cannot express.
 type Backend interface {
 	ScoreRaw(values []float64, instructions, cycles uint64) float64
 	ScoreRawRows(raw []float64, instr, cycles []uint64, out []float64)
 	Threshold() float64
+	// RawDim is the raw counter-row width the backend scores.
+	RawDim() int
 	// CloneBackend returns a backend sharing compiled state with private
 	// scratch — the per-shard handle.
 	CloneBackend() Backend

@@ -296,6 +296,19 @@ func TestAdmissionControlRejects(t *testing.T) {
 		}
 		instrStart += s.Instructions
 	}
+	// Wait until the server has admitted or refused every frame: releasing
+	// the batcher while frames still sit unread in the socket would let
+	// them into a draining queue and overstate what the bound admits.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if snap := srv.Metrics().Snapshot(); snap.Accepted+snap.Rejected == total {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatal("server did not admit or refuse every frame within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(gate) // release the batcher; everything accepted now flushes
 	if err := cl.Bye(); err != nil {
 		t.Fatal(err)
