@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench bench-json fuzz check fmt
+.PHONY: build test race lint bench bench-sim bench-json fuzz check fmt
 
 build: ## compile every package
 	$(GO) build ./...
@@ -24,6 +24,9 @@ lint: ## gofmt (fail on diff), go vet, and the evaxlint suite
 
 bench: ## run the microbenchmarks
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+bench-sim: ## one pass of the simulator benchmarks (instr/s, B/instr; fails if the attack goes inert)
+	$(GO) test -run '^$$' -bench 'SimulatorThroughput|AttackSimulation' -benchtime 1x .
 
 bench-json: ## runner speedup + equivalence report (BENCH_runner.json)
 	$(GO) run ./cmd/evaxbench -benchjson BENCH_runner.json -quick

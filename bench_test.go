@@ -10,6 +10,7 @@
 package evax
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -41,23 +42,48 @@ func lab(b *testing.B) *experiments.Lab {
 // BenchmarkSimulatorThroughput measures raw committed instructions per
 // second on a mixed benign kernel.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	alloc0 := totalAlloc()
+	b.ResetTimer()
+	var instr uint64
 	for i := 0; i < b.N; i++ {
 		m := sim.New(sim.DefaultConfig(), workload.Compress(1, 2))
 		m.Run(2_000_000)
-		b.SetBytes(0)
-		b.ReportMetric(float64(m.Instructions()), "instr/op")
+		instr += m.Instructions()
 	}
+	reportSimRate(b, instr, alloc0)
+	b.ReportMetric(float64(instr)/float64(b.N), "instr/op")
 }
 
 // BenchmarkAttackSimulation runs the full Spectre gadget to completion.
 func BenchmarkAttackSimulation(b *testing.B) {
+	alloc0 := totalAlloc()
+	b.ResetTimer()
+	var instr uint64
 	for i := 0; i < b.N; i++ {
 		m := sim.New(sim.DefaultConfig(), attacks.SpectrePHT(11, 4))
 		m.Run(2_000_000)
 		if m.C.LeakedTransientLoads == 0 {
 			b.Fatal("attack inert")
 		}
+		instr += m.Instructions()
 	}
+	reportSimRate(b, instr, alloc0)
+}
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// reportSimRate reports simulated throughput in committed instructions per
+// second and heap bytes allocated per committed instruction (machine
+// construction included), the units perfbench's sim.minstr_per_s and
+// sim.alloc_b_per_instr use.
+func reportSimRate(b *testing.B, instr, alloc0 uint64) {
+	b.StopTimer()
+	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
+	b.ReportMetric(float64(totalAlloc()-alloc0)/float64(instr), "B/instr")
 }
 
 // BenchmarkDetectorInference measures one EVAX classification (the paper's

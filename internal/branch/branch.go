@@ -263,7 +263,17 @@ type RASSnapshot struct {
 
 // SnapshotRAS captures the current RAS contents.
 func (p *Predictor) SnapshotRAS() RASSnapshot {
-	return RASSnapshot{stack: append([]int(nil), p.ras[:p.rasTop]...), top: p.rasTop}
+	var s RASSnapshot
+	p.SnapshotRASInto(&s)
+	return s
+}
+
+// SnapshotRASInto captures the current RAS contents into s, reusing its
+// storage: a recycled snapshot stops allocating once it has held a full
+// stack.
+func (p *Predictor) SnapshotRASInto(s *RASSnapshot) {
+	s.stack = append(s.stack[:0], p.ras[:p.rasTop]...) //evaxlint:ignore hotpath reuses the snapshot's storage, grown only to RASEntries
+	s.top = p.rasTop
 }
 
 // RestoreRAS rewinds the RAS to a snapshot (misprediction recovery).

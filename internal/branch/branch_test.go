@@ -119,6 +119,37 @@ func TestRASLIFO(t *testing.T) {
 	}
 }
 
+// TestSnapshotRASIntoReusesStorage checks that a recycled snapshot restores
+// exactly like a fresh one and, once sized, stops allocating.
+func TestSnapshotRASIntoReusesStorage(t *testing.T) {
+	p := newTest()
+	var s RASSnapshot
+	for _, depth := range []int{3, 1, 0, 5} {
+		for p.RASDepth() > 0 {
+			p.PopRAS()
+		}
+		for i := 0; i < depth; i++ {
+			p.PushRAS(100*depth + i)
+		}
+		p.SnapshotRASInto(&s)
+		fresh := p.SnapshotRAS()
+		p.PushRAS(-1) // disturb, then rewind
+		p.RestoreRAS(s)
+		if p.RASDepth() != fresh.top || s.top != fresh.top {
+			t.Fatalf("depth %d: restored to %d, fresh snapshot has %d", depth, p.RASDepth(), fresh.top)
+		}
+		for i := depth - 1; i >= 0; i-- {
+			if got, ok := p.PopRAS(); !ok || got != 100*depth+i {
+				t.Fatalf("depth %d: pop = (%d,%v), want %d", depth, got, ok, 100*depth+i)
+			}
+		}
+		p.RestoreRAS(s)
+	}
+	if a := testing.AllocsPerRun(10, func() { p.SnapshotRASInto(&s) }); a != 0 {
+		t.Fatalf("SnapshotRASInto allocates %v times once sized, want 0", a)
+	}
+}
+
 func TestRASOverflowWraps(t *testing.T) {
 	cfg := DefaultConfig()
 	p := New(cfg)

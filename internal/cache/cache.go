@@ -155,7 +155,7 @@ func (c *Cache) reapMSHRs(now uint64) {
 	kept := c.mshrs[:0]
 	for _, m := range c.mshrs {
 		if m.ready > now {
-			kept = append(kept, m)
+			kept = append(kept, m) //evaxlint:ignore hotpath in-place filter, never longer than its source
 		}
 	}
 	c.mshrs = kept
@@ -165,7 +165,7 @@ func (c *Cache) reapWriteBufs(now uint64) {
 	kept := c.wbReady[:0]
 	for _, r := range c.wbReady {
 		if r > now {
-			kept = append(kept, r)
+			kept = append(kept, r) //evaxlint:ignore hotpath in-place filter, never longer than its source
 		}
 	}
 	c.wbReady = kept
@@ -216,7 +216,7 @@ func (c *Cache) writeback(now uint64, lineAddr uint64) uint64 {
 		c.Stats.WriteBufFull++
 	}
 	lat := c.next.Access(now+stall, lineAddr, true)
-	c.wbReady = append(c.wbReady, now+stall+lat)
+	c.wbReady = append(c.wbReady, now+stall+lat) //evaxlint:ignore hotpath preallocated to WriteBufs; grows only past a full-buffer stall
 	// The requester does not wait for the writeback beyond the stall.
 	return stall
 }
@@ -277,7 +277,7 @@ func (c *Cache) Access(now uint64, addr uint64, write bool) uint64 {
 	if !write {
 		c.Stats.MSHRMissLatency += total
 	}
-	c.mshrs = append(c.mshrs, mshr{addr: lineAddr, ready: now + total})
+	c.mshrs = append(c.mshrs, mshr{addr: lineAddr, ready: now + total}) //evaxlint:ignore hotpath preallocated to MSHRs; a full file is reaped first
 
 	_, extra := c.fillVictim(now, lineAddr, write)
 	return total + extra
@@ -340,7 +340,7 @@ func (c *Cache) ReadNoAllocate(now uint64, addr uint64) uint64 {
 		lower = c.next.Access(now+stall+c.cfg.TagLatency, addr, false)
 	}
 	total := stall + c.cfg.TagLatency + lower + c.cfg.RespLatency
-	c.mshrs = append(c.mshrs, mshr{addr: lineAddr, ready: now + total})
+	c.mshrs = append(c.mshrs, mshr{addr: lineAddr, ready: now + total}) //evaxlint:ignore hotpath preallocated to MSHRs; a full file is reaped first
 	return total
 }
 

@@ -193,7 +193,7 @@ func (d *DRAM) maybeTRR(b *bank, row int64) {
 	}
 	if !tracked {
 		if len(b.trrRows) < d.cfg.TRRTrackers {
-			b.trrRows = append(b.trrRows, row)
+			b.trrRows = append(b.trrRows, row) //evaxlint:ignore hotpath bounded by TRRTrackers
 			tracked = true
 		}
 	}
@@ -214,7 +214,7 @@ func (d *DRAM) maybeFlip(b *bank, bankIdx int, row int64) {
 	if b.actCounts[row] < d.cfg.FlipThreshold {
 		return
 	}
-	for _, victim := range []int64{row - 1, row + 1} {
+	for _, victim := range [2]int64{row - 1, row + 1} {
 		if victim < 0 {
 			continue
 		}
@@ -225,23 +225,27 @@ func (d *DRAM) maybeFlip(b *bank, bankIdx int, row int64) {
 		d.flipped[key] = struct{}{}
 		// Deterministic bit position derived from the victim row.
 		bit := uint(uint64(victim*2654435761) % uint64(d.cfg.RowBytes*8))
-		d.flips = append(d.flips, Flip{Row: victim, Bank: bankIdx, Bit: bit})
+		d.flips = append(d.flips, Flip{Row: victim, Bank: bankIdx, Bit: bit}) //evaxlint:ignore hotpath one entry per victim row, ever (the flipped set dedups)
 		d.Stats.BitFlips++
 	}
 }
 
 func (d *DRAM) pushWriteQ(lineAddr uint64) {
-	for i, a := range d.writeQ {
+	q := d.writeQ
+	for i, a := range q {
 		if a == lineAddr {
 			// Refresh position to newest.
-			d.writeQ = append(append(d.writeQ[:i], d.writeQ[i+1:]...), lineAddr)
+			copy(q[i:], q[i+1:])
+			q[len(q)-1] = lineAddr
 			return
 		}
 	}
-	if len(d.writeQ) >= d.cfg.WriteQueue {
-		d.writeQ = d.writeQ[1:]
+	if len(q) >= d.cfg.WriteQueue {
+		// Drop the oldest by shifting, so the queue stays at the front
+		// of its storage and never reallocates.
+		q = q[:copy(q, q[1:])]
 	}
-	d.writeQ = append(d.writeQ, lineAddr)
+	d.writeQ = append(q, lineAddr) //evaxlint:ignore hotpath the queue stays at the front of its storage, so this grows only to WriteQueue
 }
 
 func (d *DRAM) inWriteQ(lineAddr uint64) bool {

@@ -73,6 +73,12 @@ type AMGAN struct {
 	noise []float64
 	gin   []float64
 	din   []float64
+
+	// TrainStep scratch: loss gradients and the constant BCE targets.
+	grad  []float64
+	rgrad []float64
+	ones  []float64
+	zeros []float64
 }
 
 // New constructs an untrained AM-GAN.
@@ -89,6 +95,10 @@ func New(cfg Config) *AMGAN {
 		noise: make([]float64, cfg.NoiseDim),
 		gin:   make([]float64, cfg.NoiseDim+cfg.NumClasses),
 		din:   make([]float64, cfg.FeatureDim+cfg.NumClasses),
+		grad:  make([]float64, 1),
+		rgrad: make([]float64, cfg.FeatureDim),
+		ones:  []float64{1},
+		zeros: []float64{0},
 	}
 }
 
@@ -197,11 +207,11 @@ func (a *AMGAN) Discriminate(features []float64, class int) float64 {
 // TrainStep runs one iteration of the Figure 4 algorithm on a real sample
 // with its class label. It returns the discriminator and generator losses.
 func (a *AMGAN) TrainStep(real []float64, class int) (dLoss, gLoss float64) {
-	grad := make([]float64, 1)
+	grad := a.grad
 
 	// Discriminator on the real, matching pair (target 1).
 	pred := a.D.Forward(a.discInput(real, class))
-	dLoss += ml.BCE(pred, []float64{1}, grad)
+	dLoss += ml.BCE(pred, a.ones, grad)
 	a.D.Backward(grad)
 
 	// Discriminator on a mismatched real pair (target 0) — the CGAN
@@ -209,25 +219,23 @@ func (a *AMGAN) TrainStep(real []float64, class int) (dLoss, gLoss float64) {
 	if a.cfg.NumClasses > 1 {
 		wrong := (class + 1 + a.rng.Intn(a.cfg.NumClasses-1)) % a.cfg.NumClasses
 		pred = a.D.Forward(a.discInput(real, wrong))
-		dLoss += ml.BCE(pred, []float64{0}, grad)
+		dLoss += ml.BCE(pred, a.zeros, grad)
 		a.D.Backward(grad)
 	}
 
 	// Discriminator on a generated pair (target 0).
+	// discInput copies G's output, so G's buffer needs no copy of its own.
 	a.sampleNoise()
-	fake := append([]float64(nil), a.G.Forward(a.genInput(class))...)
-	pred = a.D.Forward(a.discInput(fake, class))
-	dLoss += ml.BCE(pred, []float64{0}, grad)
+	pred = a.D.Forward(a.discInput(a.G.Forward(a.genInput(class)), class))
+	dLoss += ml.BCE(pred, a.zeros, grad)
 	a.D.Backward(grad)
 	a.D.Step(a.cfg.LR, a.cfg.Momentum, 3)
 
 	// Generator: make D call the fake real (target 1); the gradient
 	// flows through D into G without updating D.
 	a.sampleNoise()
-	gin := a.genInput(class)
-	fake = a.G.Forward(gin)
-	pred = a.D.Forward(a.discInput(append([]float64(nil), fake...), class))
-	gLoss = ml.BCE(pred, []float64{1}, grad)
+	pred = a.D.Forward(a.discInput(a.G.Forward(a.genInput(class)), class))
+	gLoss = ml.BCE(pred, a.ones, grad)
 	dIn := a.D.Backward(grad)
 	a.D.ClearGrads() // D is frozen during the generator update
 	a.G.Backward(dIn[:a.cfg.FeatureDim])
@@ -239,7 +247,7 @@ func (a *AMGAN) TrainStep(real []float64, class int) (dLoss, gLoss float64) {
 	if a.cfg.ReconWeight > 0 {
 		a.sampleNoise()
 		out := a.G.Forward(a.genInput(class))
-		rgrad := make([]float64, len(out))
+		rgrad := a.rgrad
 		ml.BCE(out, real, rgrad)
 		for i := range rgrad {
 			rgrad[i] *= a.cfg.ReconWeight

@@ -79,9 +79,10 @@ type Layer struct {
 	B []float64
 
 	// Caches for backprop (single sample at a time).
-	x     []float64 // last input
-	y     []float64 // last output (post-activation)
-	delta []float64 // dL/dz for the last sample
+	x      []float64 // last input
+	y      []float64 // last output (post-activation)
+	delta  []float64 // dL/dz for the last sample
+	gradIn []float64 // dL/dInput for the last Backward
 
 	// Accumulated gradients and momentum.
 	gradW [][]float64
@@ -93,6 +94,8 @@ type Layer struct {
 // Network is a feed-forward stack of dense layers.
 type Network struct {
 	Layers []*Layer
+
+	lossGrad []float64 // TrainSample's dL/dPred scratch
 }
 
 // New creates a network with the given layer sizes, e.g. sizes =
@@ -137,6 +140,7 @@ func newLayer(rng *rand.Rand, in, out int, act Activation) *Layer {
 	l.x = make([]float64, in)
 	l.y = make([]float64, out)
 	l.delta = make([]float64, out)
+	l.gradIn = make([]float64, in)
 	return l
 }
 
@@ -151,48 +155,105 @@ func (n *Network) OutputSize() int { return n.Layers[len(n.Layers)-1].Out }
 func (n *Network) Forward(x []float64) []float64 {
 	for _, l := range n.Layers {
 		copy(l.x, x)
-		for o := 0; o < l.Out; o++ {
-			z := l.B[o]
-			w := l.W[o]
-			for i, xi := range x {
-				z += w[i] * xi
-			}
-			l.y[o] = l.Act.apply(z)
-		}
+		l.forward(x)
 		x = l.y
 	}
 	return x
 }
 
+// forward computes l.y from x, four output rows at a time. Each output's
+// sum still accumulates bias first, then inputs in order, exactly as one
+// row at a time would; the four independent add chains just overlap.
+func (l *Layer) forward(x []float64) {
+	W, b, y := l.W, l.B[:len(l.W)], l.y[:len(l.W)]
+	o := 0
+	for ; o+4 <= len(W); o += 4 {
+		w0, w1, w2, w3 := W[o][:len(x)], W[o+1][:len(x)], W[o+2][:len(x)], W[o+3][:len(x)]
+		z0, z1, z2, z3 := b[o], b[o+1], b[o+2], b[o+3]
+		for i, xi := range x {
+			z0 += w0[i] * xi
+			z1 += w1[i] * xi
+			z2 += w2[i] * xi
+			z3 += w3[i] * xi
+		}
+		y[o], y[o+1], y[o+2], y[o+3] = l.Act.apply(z0), l.Act.apply(z1), l.Act.apply(z2), l.Act.apply(z3)
+	}
+	for ; o < len(W); o++ {
+		w := W[o][:len(x)]
+		z := b[o]
+		for i, xi := range x {
+			z += w[i] * xi
+		}
+		y[o] = l.Act.apply(z)
+	}
+}
+
 // Backward backpropagates dL/dOutput for the most recent Forward sample,
 // accumulating parameter gradients. It returns dL/dInput (the gradient the
-// GAN feeds from discriminator into generator).
+// GAN feeds from discriminator into generator). Like Forward's output, the
+// returned slice is owned by the network and overwritten by the next
+// Backward; copy it if retaining.
 func (n *Network) Backward(gradOut []float64) []float64 {
 	grad := gradOut
 	for li := len(n.Layers) - 1; li >= 0; li-- {
 		l := n.Layers[li]
-		for o := 0; o < l.Out; o++ {
-			l.delta[o] = grad[o] * l.Act.deriv(l.y[o])
+		delta := l.delta
+		y := l.y[:len(delta)]
+		grad = grad[:len(delta)]
+		for o := range delta {
+			delta[o] = grad[o] * l.Act.deriv(y[o])
 		}
-		for o := 0; o < l.Out; o++ {
-			d := l.delta[o]
-			gw := l.gradW[o]
-			for i, xi := range l.x {
-				gw[i] += d * xi
-			}
-			l.gradB[o] += d
-		}
-		next := make([]float64, l.In)
-		for o := 0; o < l.Out; o++ {
-			d := l.delta[o]
-			w := l.W[o]
-			for i := range next {
-				next[i] += d * w[i]
-			}
-		}
-		grad = next
+		// grad is fully consumed into delta above, so the layer's
+		// buffer can be reused even if the caller passed it back in.
+		l.backward()
+		grad = l.gradIn
 	}
 	return grad
+}
+
+// backward accumulates the parameter gradients for l.delta and writes
+// dL/dInput into l.gradIn, four output rows at a time. Every gradW and
+// gradB cell receives its one addition, and every gradIn[i] its additions
+// in output order starting from zero, exactly as one row at a time would.
+func (l *Layer) backward() {
+	delta, x, next := l.delta, l.x, l.gradIn
+	W, gW, gb := l.W[:len(delta)], l.gradW[:len(delta)], l.gradB[:len(delta)]
+	clear(next)
+	o := 0
+	for ; o+4 <= len(delta); o += 4 {
+		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
+		g0, g1, g2, g3 := gW[o][:len(x)], gW[o+1][:len(x)], gW[o+2][:len(x)], gW[o+3][:len(x)]
+		for i, xi := range x {
+			g0[i] += d0 * xi
+			g1[i] += d1 * xi
+			g2[i] += d2 * xi
+			g3[i] += d3 * xi
+		}
+		gb[o] += d0
+		gb[o+1] += d1
+		gb[o+2] += d2
+		gb[o+3] += d3
+		w0, w1, w2, w3 := W[o][:len(next)], W[o+1][:len(next)], W[o+2][:len(next)], W[o+3][:len(next)]
+		for i, s := range next {
+			s += d0 * w0[i]
+			s += d1 * w1[i]
+			s += d2 * w2[i]
+			s += d3 * w3[i]
+			next[i] = s
+		}
+	}
+	for ; o < len(delta); o++ {
+		d := delta[o]
+		gw := gW[o][:len(x)]
+		for i, xi := range x {
+			gw[i] += d * xi
+		}
+		gb[o] += d
+		w := W[o][:len(next)]
+		for i := range next {
+			next[i] += d * w[i]
+		}
+	}
 }
 
 // Step applies accumulated gradients with SGD + momentum and clears them.
@@ -203,17 +264,20 @@ func (n *Network) Step(lr, momentum float64, batch int) {
 	}
 	inv := 1 / float64(batch)
 	for _, l := range n.Layers {
-		for o := 0; o < l.Out; o++ {
-			for i := 0; i < l.In; i++ {
-				v := momentum*l.velW[o][i] - lr*l.gradW[o][i]*inv
-				l.velW[o][i] = v
-				l.W[o][i] += v
-				l.gradW[o][i] = 0
+		b, gb, vb := l.B, l.gradB[:len(l.B)], l.velB[:len(l.B)]
+		for o, w := range l.W {
+			gw := l.gradW[o][:len(w)]
+			vw := l.velW[o][:len(w)]
+			for i := range w {
+				v := momentum*vw[i] - lr*gw[i]*inv
+				vw[i] = v
+				w[i] += v
+				gw[i] = 0
 			}
-			v := momentum*l.velB[o] - lr*l.gradB[o]*inv
-			l.velB[o] = v
-			l.B[o] += v
-			l.gradB[o] = 0
+			v := momentum*vb[o] - lr*gb[o]*inv
+			vb[o] = v
+			b[o] += v
+			gb[o] = 0
 		}
 	}
 }
@@ -240,12 +304,10 @@ func (n *Network) ProjectNonNegative() {
 // gradient, as in GAN generator training).
 func (n *Network) ClearGrads() {
 	for _, l := range n.Layers {
-		for o := 0; o < l.Out; o++ {
-			for i := 0; i < l.In; i++ {
-				l.gradW[o][i] = 0
-			}
-			l.gradB[o] = 0
+		for _, gw := range l.gradW {
+			clear(gw)
 		}
+		clear(l.gradB)
 	}
 }
 
@@ -301,8 +363,10 @@ func BCE(pred, target, grad []float64) float64 {
 // batch several and then Step.
 func (n *Network) TrainSample(x, target []float64) float64 {
 	pred := n.Forward(x)
-	grad := make([]float64, len(pred))
-	loss := BCE(pred, target, grad)
-	n.Backward(grad)
+	if len(n.lossGrad) != len(pred) {
+		n.lossGrad = make([]float64, len(pred))
+	}
+	loss := BCE(pred, target, n.lossGrad)
+	n.Backward(n.lossGrad)
 	return loss
 }

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-
-	"evax/internal/isa"
-)
+import "evax/internal/isa"
 
 // fetchStage fetches, decodes, renames and dispatches up to FetchWidth
 // micro-ops along the predicted path, executing them functionally and
@@ -34,7 +30,7 @@ func (m *Machine) fetchStage() bool {
 			break
 		}
 		m.drainIQ()
-		if len(m.iqHeap) >= m.cfg.IQEntries {
+		if m.iq.len() >= m.cfg.IQEntries {
 			m.ctr[CtrIQFullStalls]++
 			m.ctr[CtrDecodeBlockedCycles]++
 			break
@@ -67,10 +63,7 @@ func (m *Machine) fetchStage() bool {
 
 // drainIQ retires issue-queue occupancy entries whose execution has begun.
 func (m *Machine) drainIQ() {
-	for len(m.iqHeap) > 0 && m.iqHeap[0] <= m.cycle {
-		heap.Pop(&m.iqHeap)
-		m.ctr[CtrIQInstsIssued]++
-	}
+	m.ctr[CtrIQInstsIssued] += m.iq.drain(m.cycle)
 }
 
 // fetchLineReady charges I-cache/ITLB latency when fetch crosses into a new
@@ -142,15 +135,17 @@ func (m *Machine) acquire(free []uint64, start, busy uint64) uint64 {
 // *predicted* path) and whether fetch must stop this cycle (serializing op).
 func (m *Machine) dispatch(in *isa.Inst, idx int) (int, bool) {
 	m.seq++
-	wrongPath := m.pendingRedirect != nil
-	e := robEntry{
-		seq:       m.seq,
-		instIdx:   idx,
-		kind:      in.Kind,
-		phase:     in.Phase,
-		wrongPath: wrongPath,
-		dest:      in.Dest,
-	}
+	wrongPath := m.redirecting
+	// The entry is built in its ROB slot (past robTail until the end of
+	// dispatch, so it is not yet in flight).
+	e := m.robAt(m.robTail)
+	*e = robEntry{}
+	e.seq = m.seq
+	e.instIdx = idx
+	e.kind = in.Kind
+	e.phase = in.Phase
+	e.wrongPath = wrongPath
+	e.dest = in.Dest
 	m.phaseDispatched[in.Phase]++
 	m.ctr[CtrFetchInsts]++
 	m.ctr[CtrDecodeInsts]++
@@ -198,10 +193,10 @@ func (m *Machine) dispatch(in *isa.Inst, idx int) (int, bool) {
 		e.execStart = start
 		e.doneAt = start + lat
 		v := isa.AluResult(in.Alu, m.specRead(in.Src1), m.specRead(in.Src2), in.Imm)
-		m.writeDest(&e, in.Dest, v)
+		m.writeDest(e, in.Dest, v)
 
 	case isa.Load:
-		next, serial = m.dispatchLoad(in, idx, &e, start)
+		next, serial = m.dispatchLoad(in, idx, e, start)
 
 	case isa.Store:
 		ea := in.EA(m.specRead)
@@ -217,8 +212,13 @@ func (m *Machine) dispatch(in *isa.Inst, idx int) (int, bool) {
 		e.isStore = true
 		e.ea = ea &^ 7
 		if ea < isa.KernelBase {
-			m.sq = append(m.sq, sqEntry{seq: e.seq, addr: ea &^ 7,
-				value: m.specRead(in.Src1), addrAt: start, dataAt: e.doneAt})
+			if len(m.sq) == cap(m.sq) {
+				m.sq = m.sqBuf[:copy(m.sqBuf, m.sq)]
+			}
+			n := len(m.sq)
+			m.sq = m.sq[:n+1]
+			m.sq[n] = sqEntry{seq: e.seq, addr: ea &^ 7,
+				value: m.specRead(in.Src1), addrAt: start, dataAt: e.doneAt}
 		}
 
 	case isa.CLFlush:
@@ -248,7 +248,7 @@ func (m *Machine) dispatch(in *isa.Inst, idx int) (int, bool) {
 	case isa.RdTSC:
 		e.execStart = start
 		e.doneAt = start + 1
-		m.writeDest(&e, in.Dest, start)
+		m.writeDest(e, in.Dest, start)
 
 	case isa.RdRand:
 		orig := start
@@ -266,7 +266,7 @@ func (m *Machine) dispatch(in *isa.Inst, idx int) (int, bool) {
 		if m.rng == 0 {
 			m.rng = 0x9E3779B97F4A7C15
 		}
-		m.writeDest(&e, in.Dest, m.rng)
+		m.writeDest(e, in.Dest, m.rng)
 
 	case isa.Fence:
 		start = maxu(start, m.maxDoneMem)
@@ -301,7 +301,7 @@ func (m *Machine) dispatch(in *isa.Inst, idx int) (int, bool) {
 		serial = true
 
 	case isa.Branch, isa.Jump, isa.IndirectJump, isa.Call, isa.Ret:
-		next = m.dispatchCtrl(in, idx, &e, start)
+		next = m.dispatchCtrl(in, idx, e, start)
 	}
 
 	m.maxDoneAll = maxu(m.maxDoneAll, e.doneAt)
@@ -318,17 +318,17 @@ func (m *Machine) dispatch(in *isa.Inst, idx int) (int, bool) {
 	}
 	m.ctr[CtrIEWExecutedInsts]++
 	if e.execStart > m.cycle {
-		heap.Push(&m.iqHeap, e.execStart)
+		m.iq.push(e.execStart)
 	}
-	m.rob = append(m.rob, e)
+	m.robTail++
 
-	if e.mispredict && !wrongPath && m.pendingRedirect == nil {
-		m.pendingRedirect = &redirect{
+	if e.mispredict && !wrongPath {
+		m.pendingRedirect = redirect{
 			seq:        e.seq,
 			doneAt:     e.doneAt,
 			actualNext: e.actualNext,
-			ckpt:       e.ckpt,
 		}
+		m.redirecting = true
 	}
 	return next, serial
 }
@@ -337,7 +337,7 @@ func (m *Machine) dispatch(in *isa.Inst, idx int) (int, bool) {
 // executes before any pending squash kills it — the gate that decides
 // whether transient work touches the caches.
 func (m *Machine) willExec(start uint64, wrongPath bool) bool {
-	if wrongPath && m.pendingRedirect != nil && start >= m.pendingRedirect.doneAt {
+	if wrongPath && m.redirecting && start >= m.pendingRedirect.doneAt {
 		return false
 	}
 	if m.pendingReplays > 0 && start >= m.replayGate {

@@ -179,7 +179,7 @@ func (m *Machine) dispatchCtrl(in *isa.Inst, idx int, e *robEntry, start uint64)
 		e.execStart = start
 		e.doneAt = start + 1
 		predNext, actualNext = in.Target, in.Target
-		m.callStack = append(m.callStack, idx+1)
+		m.callStack = append(m.callStack, idx+1) //evaxlint:ignore hotpath grows only to the deepest call stack, then reuses its storage
 		m.bp.PushRAS(idx + 1)
 
 	case isa.Ret:

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"evax/internal/branch"
@@ -73,12 +72,13 @@ type checkpoint struct {
 }
 
 // redirect records the pending squash for a right-path mispredicted control
-// op (at most one exists: everything fetched after it is wrong-path).
+// op (at most one exists: everything fetched after it is wrong-path). The
+// owner, found by seq, holds the checkpoint: it cannot commit before the
+// squash fires.
 type redirect struct {
 	seq        uint64
 	doneAt     uint64 // resolution cycle, when the squash fires
 	actualNext int
-	ckpt       *checkpoint
 }
 
 // sqEntry is an in-flight store. Address and data readiness are tracked
@@ -93,20 +93,54 @@ type sqEntry struct {
 	dataAt uint64 // data ready cycle
 }
 
-// uint64Heap is a min-heap of cycle numbers (issue-queue drain tracking).
-type uint64Heap []uint64
-
-func (h uint64Heap) Len() int            { return len(h) }
-func (h uint64Heap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h uint64Heap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *uint64Heap) Push(x interface{}) { *h = append(*h, x.(uint64)) }
-func (h *uint64Heap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// issueQueue tracks the issue cycles of queued micro-ops: the issue
+// queue's occupancy. Only its size and its minimum are observable. It keeps
+// the cycles sorted ascending in c[head:]: issue cycles arrive nearly in
+// order, so an insertion rarely moves more than an entry or two, and
+// draining is a walk of head. Its storage is preallocated in New, and fetch
+// admits a micro-op only while fewer than IQEntries are queued, so it never
+// grows.
+type issueQueue struct {
+	c    []uint64
+	head int
 }
+
+func (q *issueQueue) len() int { return len(q.c) - q.head }
+
+// min returns the earliest queued cycle; the queue must not be empty.
+func (q *issueQueue) min() uint64 { return q.c[q.head] }
+
+func (q *issueQueue) push(cycle uint64) {
+	c := q.c
+	if len(c) == cap(c) {
+		c = c[:copy(c[:cap(c)], c[q.head:])]
+		q.head = 0
+	}
+	i := len(c)
+	c = c[:i+1]
+	for i > q.head && c[i-1] > cycle {
+		c[i] = c[i-1]
+		i--
+	}
+	c[i] = cycle
+	q.c = c
+}
+
+// drain removes every entry at or before cycle and returns how many.
+func (q *issueQueue) drain(cycle uint64) uint64 {
+	h := q.head
+	for h < len(q.c) && q.c[h] <= cycle {
+		h++
+	}
+	n := uint64(h - q.head)
+	if h == len(q.c) {
+		q.c, h = q.c[:0], 0
+	}
+	q.head = h
+	return n
+}
+
+func (q *issueQueue) reset() { q.c, q.head = q.c[:0], 0 }
 
 // Counters holds the machine-level bookkeeping that is NOT part of the HPC
 // catalog: defense telemetry and security ground truth. Every
@@ -147,23 +181,40 @@ type Machine struct {
 	regReady  [isa.NumRegs]uint64
 	callStack []int
 
+	// rob is a ring of in-flight micro-ops, allocated once in New: its
+	// length is the power of two at or above ROBEntries, and robHead and
+	// robTail are ever-increasing logical positions (slot = pos&robMask).
+	// Fetch never lets more than ROBEntries be live, so it never wraps
+	// onto a live entry.
 	rob     []robEntry
+	robMask int
 	robHead int
+	robTail int
 	seq     uint64
 
+	// sq is the store queue, a window over sqBuf: commit slides its
+	// start, and dispatch moves it back to the front of sqBuf once it
+	// reaches the end, so it never reallocates.
 	sq            []sqEntry
+	sqBuf         []sqEntry
 	lqCount       int
 	inFlightDests int
-	iqHeap        uint64Heap
+	iq            issueQueue
+
+	// ckptFree recycles checkpoints: one is taken per mispredicted control
+	// op or replay load and returned when its entry commits, replays or is
+	// squashed.
+	ckptFree []*checkpoint
 
 	fetchIdx      int
 	fetchReadyAt  uint64
 	lastFetchLine uint64
 	quiescing     bool
 
-	// pendingRedirect is set while a right-path mispredicted control op
-	// awaits resolution (at most one can exist).
-	pendingRedirect *redirect
+	// pendingRedirect is valid while redirecting is set: a right-path
+	// mispredicted control op awaits resolution (at most one can exist).
+	pendingRedirect redirect
+	redirecting     bool
 
 	// inFlightCtrl counts dispatched-but-uncommitted control ops; the
 	// InvisiSpec Spectre model treats loads issued under any of them as
@@ -252,8 +303,15 @@ func New(cfg Config, prog *isa.Program) *Machine {
 	m.fpFree = make([]uint64, cfg.FPUnits)
 	m.loadFree = make([]uint64, cfg.LoadPorts)
 	m.storeFree = make([]uint64, cfg.StorePort)
-	m.rob = make([]robEntry, 0, cfg.ROBEntries)
-	heap.Init(&m.iqHeap)
+	robSize := 1
+	for robSize < cfg.ROBEntries {
+		robSize *= 2
+	}
+	m.rob = make([]robEntry, robSize)
+	m.robMask = robSize - 1
+	m.sqBuf = make([]sqEntry, 2*cfg.SQEntries)
+	m.sq = m.sqBuf[:0]
+	m.iq.c = make([]uint64, 0, 2*cfg.IQEntries+cfg.FetchWidth)
 	m.links = m.counterLinks()
 	return m
 }
@@ -324,7 +382,10 @@ func (m *Machine) PrefetchesIssued() uint64 {
 func (m *Machine) SpecBufLen() int { return m.specBuf.Len() }
 
 // ROBOccupancy reports in-flight micro-ops.
-func (m *Machine) ROBOccupancy() int { return len(m.rob) - m.robHead }
+func (m *Machine) ROBOccupancy() int { return m.robTail - m.robHead }
+
+// robAt returns the ROB entry at logical position pos.
+func (m *Machine) robAt(pos int) *robEntry { return &m.rob[pos&m.robMask] }
 
 // PhaseDispatched returns the cumulative dispatch counts per attack phase.
 func (m *Machine) PhaseDispatched() [6]uint64 { return m.phaseDispatched }
@@ -354,19 +415,35 @@ func (m *Machine) memRead(addr uint64) uint64 {
 	return m.memory[w]
 }
 
+// takeCheckpoint snapshots the speculative state into a recycled
+// checkpoint.
 func (m *Machine) takeCheckpoint() *checkpoint {
-	return &checkpoint{
-		specRegs:  m.specRegs,
-		regReady:  m.regReady,
-		callStack: append([]int(nil), m.callStack...),
-		ras:       m.bp.SnapshotRAS(),
+	var ck *checkpoint
+	if n := len(m.ckptFree); n > 0 {
+		ck = m.ckptFree[n-1]
+		m.ckptFree = m.ckptFree[:n-1]
+	} else {
+		ck = new(checkpoint) //evaxlint:ignore hotpath pool warm-up; live checkpoints are bounded by the ROB and recycled
+	}
+	ck.specRegs = m.specRegs
+	ck.regReady = m.regReady
+	ck.callStack = append(ck.callStack[:0], m.callStack...) //evaxlint:ignore hotpath reuses the pooled checkpoint's storage, grown only to the deepest call stack
+	m.bp.SnapshotRASInto(&ck.ras)
+	return ck
+}
+
+// releaseCheckpoint returns e's checkpoint, if any, to the free list.
+func (m *Machine) releaseCheckpoint(e *robEntry) {
+	if e.ckpt != nil {
+		m.ckptFree = append(m.ckptFree, e.ckpt) //evaxlint:ignore hotpath the free list grows only to the most checkpoints ever live
+		e.ckpt = nil
 	}
 }
 
 func (m *Machine) restoreCheckpoint(ck *checkpoint) {
 	m.specRegs = ck.specRegs
 	m.regReady = ck.regReady
-	m.callStack = append(m.callStack[:0], ck.callStack...)
+	m.callStack = append(m.callStack[:0], ck.callStack...) //evaxlint:ignore hotpath reuses the call stack's storage, grown only to the deepest call stack
 	m.bp.RestoreRAS(ck.ras)
 }
 

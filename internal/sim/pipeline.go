@@ -1,14 +1,12 @@
 package sim
 
-import (
-	"container/heap"
-
-	"evax/internal/isa"
-)
+import "evax/internal/isa"
 
 // Step advances the machine by one cycle. It returns true if any micro-op
 // was committed, squashed, resolved or dispatched (progress), which Run
 // uses to fast-forward idle stretches.
+//
+//evaxlint:hotpath
 func (m *Machine) Step() bool {
 	if m.done {
 		return false
@@ -62,15 +60,15 @@ func (m *Machine) skipAhead() {
 			next = c
 		}
 	}
-	if m.robHead < len(m.rob) {
-		consider(m.rob[m.robHead].doneAt + 1)
+	if m.robHead < m.robTail {
+		consider(m.robAt(m.robHead).doneAt + 1)
 	}
-	if m.pendingRedirect != nil {
+	if m.redirecting {
 		consider(m.pendingRedirect.doneAt)
 	}
 	consider(m.fetchReadyAt)
-	if len(m.iqHeap) > 0 {
-		consider(m.iqHeap[0])
+	if m.iq.len() > 0 {
+		consider(m.iq.min())
 	}
 	if next == ^uint64(0) || next <= m.cycle+1 {
 		return
@@ -90,16 +88,16 @@ func (m *Machine) skipAhead() {
 
 // resolveStage fires the squash for a resolved right-path misprediction.
 func (m *Machine) resolveStage() bool {
-	r := m.pendingRedirect
-	if r == nil || m.cycle < r.doneAt {
+	r := &m.pendingRedirect
+	if !m.redirecting || m.cycle < r.doneAt {
 		return false
 	}
 	m.ctr[CtrIEWBranchMispredicts]++
 	// Find the owner's position in the ROB.
 	pos := m.findROB(r.seq)
 	m.squashYoungerThan(pos)
-	m.restoreCheckpoint(r.ckpt)
-	m.pendingRedirect = nil
+	m.restoreCheckpoint(m.robAt(pos).ckpt)
+	m.redirecting = false
 	m.fetchIdx = r.actualNext
 	m.fetchReadyAt = m.cycle + m.cfg.SquashPenalty
 	m.ctr[CtrFetchSquashCycles] += m.cfg.SquashPenalty
@@ -108,20 +106,20 @@ func (m *Machine) resolveStage() bool {
 }
 
 func (m *Machine) findROB(seq uint64) int {
-	for i := m.robHead; i < len(m.rob); i++ {
-		if m.rob[i].seq == seq {
+	for i := m.robHead; i < m.robTail; i++ {
+		if m.robAt(i).seq == seq {
 			return i
 		}
 	}
-	return len(m.rob) - 1
+	return m.robTail - 1
 }
 
 // squashYoungerThan removes every ROB entry younger than position pos,
 // unwinding queues and counters.
 func (m *Machine) squashYoungerThan(pos int) {
-	ownerSeq := m.rob[pos].seq
-	for i := len(m.rob) - 1; i > pos; i-- {
-		e := &m.rob[i]
+	ownerSeq := m.robAt(pos).seq
+	for i := m.robTail - 1; i > pos; i-- {
+		e := m.robAt(i)
 		m.ctr[CtrCommitSquashedInsts]++
 		m.ctr[CtrIQSquashedInstsExamined]++
 		if e.execStart <= m.cycle {
@@ -153,6 +151,7 @@ func (m *Machine) squashYoungerThan(pos int) {
 			m.inFlightDests--
 			m.ctr[CtrRenameUndone]++
 		}
+		m.releaseCheckpoint(e)
 	}
 	// Drop squashed stores from the SQ (they are the entries with seq
 	// greater than the owner's).
@@ -161,15 +160,15 @@ func (m *Machine) squashYoungerThan(pos int) {
 		keep--
 	}
 	m.sq = m.sq[:keep]
-	m.rob = m.rob[:pos+1]
-	// Rebuild the issue-queue occupancy heap from surviving entries.
-	m.iqHeap = m.iqHeap[:0]
-	for i := m.robHead; i < len(m.rob); i++ {
-		if m.rob[i].execStart > m.cycle {
-			m.iqHeap = append(m.iqHeap, m.rob[i].execStart)
+	m.robTail = pos + 1
+	// Rebuild the issue-queue occupancy from surviving entries (never
+	// more than it held, so it stays within its capacity).
+	m.iq.reset()
+	for i := m.robHead; i < m.robTail; i++ {
+		if c := m.robAt(i).execStart; c > m.cycle {
+			m.iq.push(c)
 		}
 	}
-	heap.Init(&m.iqHeap)
 	m.recomputeReplayGate()
 }
 
@@ -181,8 +180,8 @@ func (m *Machine) recomputeReplayGate() {
 		return
 	}
 	gate := ^uint64(0)
-	for i := m.robHead; i < len(m.rob); i++ {
-		e := &m.rob[i]
+	for i := m.robHead; i < m.robTail; i++ {
+		e := m.robAt(i)
 		if (e.fault || e.assistReplay || e.stlViolation) && e.squashAtEst < gate {
 			gate = e.squashAtEst
 		}
@@ -199,12 +198,12 @@ func (m *Machine) commitStage() bool {
 	if m.cycle < m.commitStallUntil {
 		return false
 	}
-	for n := 0; n < m.cfg.CommitWidth && m.robHead < len(m.rob); n++ {
-		e := &m.rob[m.robHead]
+	for n := 0; n < m.cfg.CommitWidth && m.robHead < m.robTail; n++ {
+		e := m.robAt(m.robHead)
 		if m.cycle <= e.doneAt {
 			break
 		}
-		if m.pendingRedirect != nil && e.seq == m.pendingRedirect.seq {
+		if m.redirecting && e.seq == m.pendingRedirect.seq {
 			// A mispredicted control op cannot commit before its
 			// squash fires in resolveStage.
 			break
@@ -269,14 +268,13 @@ func (m *Machine) commitStage() bool {
 			}
 			m.replaySquash(e)
 			m.robHead++
-			m.compactROB()
 			return true
 		}
+		m.releaseCheckpoint(e)
 		m.robHead++
 	}
-	m.compactROB()
-	if m.robHead == len(m.rob) && m.fetchIdx >= len(m.prog.Code) &&
-		m.pendingRedirect == nil && m.pendingReplays == 0 {
+	if m.robHead == m.robTail && m.fetchIdx >= len(m.prog.Code) &&
+		!m.redirecting && m.pendingReplays == 0 {
 		m.done = true
 	}
 	return progress
@@ -289,11 +287,12 @@ func (m *Machine) replaySquash(e *robEntry) {
 	pos := m.findROB(e.seq)
 	m.pendingReplays-- // the owner itself
 	m.squashYoungerThan(pos)
-	if m.pendingRedirect != nil && m.pendingRedirect.seq > e.seq {
-		m.pendingRedirect = nil
+	if m.redirecting && m.pendingRedirect.seq > e.seq {
+		m.redirecting = false
 	}
 	m.recomputeReplayGate()
 	m.restoreCheckpoint(e.ckpt)
+	m.releaseCheckpoint(e)
 	if e.hasDest {
 		m.specWrite(e.dest, e.destValue)
 		m.regReady[e.dest] = m.cycle
@@ -307,14 +306,6 @@ func (m *Machine) replaySquash(e *robEntry) {
 	m.fetchReadyAt = m.cycle + penalty
 	m.ctr[CtrFetchSquashCycles] += penalty
 	m.forceLineRefetch()
-}
-
-// compactROB reclaims committed prefix storage periodically.
-func (m *Machine) compactROB() {
-	if m.robHead > 4096 || (m.robHead > 0 && m.robHead == len(m.rob)) {
-		m.rob = append(m.rob[:0], m.rob[m.robHead:]...)
-		m.robHead = 0
-	}
 }
 
 // kernelNoise models kernel handler activity: a few supervisor-space

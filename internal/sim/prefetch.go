@@ -15,6 +15,7 @@ type stridePrefetcher struct {
 	entries []pfEntry
 	mask    uint64
 	degree  int
+	out     []uint64 // observe's result buffer, degree long
 
 	// Issued counts prefetches sent; Useful is maintained by the cache's
 	// PrefetchFills (fills that were not already present).
@@ -58,11 +59,13 @@ func newStridePrefetcher(cfg PrefetchConfig) *stridePrefetcher {
 		entries: make([]pfEntry, size),
 		mask:    uint64(size - 1),
 		degree:  deg,
+		out:     make([]uint64, deg),
 	}
 }
 
 // observe records a demand load at pc touching addr and returns the
-// addresses to prefetch (nil when the entry is not armed).
+// addresses to prefetch (nil when the entry is not armed). The result is
+// owned by the prefetcher and overwritten by the next trigger.
 func (p *stridePrefetcher) observe(pc, addr uint64) []uint64 {
 	e := &p.entries[pc&p.mask]
 	if e.pc != pc {
@@ -80,15 +83,15 @@ func (p *stridePrefetcher) observe(pc, addr uint64) []uint64 {
 	if !trigger {
 		return nil
 	}
-	out := make([]uint64, 0, p.degree)
+	n := 0
 	next := int64(addr)
-	for i := 0; i < p.degree; i++ {
+	for ; n < p.degree; n++ {
 		next += stride
 		if next <= 0 {
 			break
 		}
-		out = append(out, uint64(next))
+		p.out[n] = uint64(next)
 	}
-	p.Issued += uint64(len(out))
-	return out
+	p.Issued += uint64(n)
+	return p.out[:n]
 }
