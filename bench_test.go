@@ -199,12 +199,15 @@ func BenchmarkFigure9to11_ComplexHPCs(b *testing.B) {
 }
 
 // BenchmarkFigure14_AdaptiveIPC regenerates the adaptive-architecture IPC
-// comparison and reports EVAX's IPC share of baseline.
+// comparison, its detector-free reference runs included, and reports EVAX's
+// IPC share of baseline.
 func BenchmarkFigure14_AdaptiveIPC(b *testing.B) {
 	l := lab(b)
+	experiments.Figure14(l) // waits out the reference runs NewLab started
 	b.ResetTimer()
 	var r experiments.Figure14Result
 	for i := 0; i < b.N; i++ {
+		l.DropReferenceRuns() // time the simulation, not replay alone
 		r = experiments.Figure14(l)
 	}
 	for _, s := range r.Series {
@@ -231,13 +234,16 @@ func BenchmarkFigure15_FalseRates(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure16_EndToEnd regenerates the overhead comparison and
-// reports the always-on and EVAX-gated fencing overheads.
+// BenchmarkFigure16_EndToEnd regenerates the overhead comparison, its
+// detector-free reference runs included, and reports the always-on and
+// EVAX-gated fencing overheads.
 func BenchmarkFigure16_EndToEnd(b *testing.B) {
 	l := lab(b)
+	experiments.Figure16(l) // waits out the reference runs NewLab started
 	b.ResetTimer()
 	var r experiments.Figure16Result
 	for i := 0; i < b.N; i++ {
+		l.DropReferenceRuns() // time the simulation, not replay alone
 		r = experiments.Figure16(l)
 	}
 	for _, row := range r.Rows {

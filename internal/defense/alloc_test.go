@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"math"
 	"testing"
 
 	"evax/internal/dataset"
@@ -28,5 +29,17 @@ func TestFlagWindowZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { fl.FlagWindow(s) }); n != 0 {
 		t.Errorf("FlagWindow allocates %v times per window, want 0", n)
+	}
+}
+
+// Replay's no-flag path scores every recorded window and returns the
+// recording: the figure drivers take it once per detector per workload, so
+// it allocates nothing.
+func TestReplayNoFlagZeroAlloc(t *testing.T) {
+	cfg, prog, dcfg := sim.DefaultConfig(), benignProg(), replayConfig(sim.PolicyFenceAfterBranch)
+	rec := Record(cfg, prog, dcfg, replayInstr)
+	fl := testFlagger(math.Inf(1))
+	if n := testing.AllocsPerRun(100, func() { Replay(rec, cfg, prog, fl, dcfg, replayInstr) }); n != 0 {
+		t.Errorf("Replay without a flag allocates %v times, want 0", n)
 	}
 }

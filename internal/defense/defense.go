@@ -16,6 +16,11 @@ import (
 // Flagger is the detection interface the controller consults once per
 // sampling window. Implementations wrap a detector plus the corpus
 // normalizer (see NewDetectorFlagger in this package's adapter file).
+//
+// FlagWindow must be a pure function of its sample: the same window gets
+// the same verdict whenever, and however often, it is scored. Replay relies
+// on it: a replay that flags at window k has scored windows 0..k, and the
+// protected run it falls back to scores them again from instruction 0.
 type Flagger interface {
 	// FlagWindow inspects one HPC sampling window and reports whether
 	// mitigation should engage.
@@ -94,6 +99,10 @@ type Controller struct {
 
 	sampler     *hpc.Sampler
 	secureUntil uint64
+
+	// record keeps every scored window in recorded (see Record).
+	record   bool
+	recorded []hpc.Sample
 }
 
 // NewController wraps a machine with a detector and a mitigation policy.
@@ -134,6 +143,9 @@ func (c *Controller) Run(maxInstr uint64) Result {
 			continue
 		}
 		res.Windows++
+		if c.record {
+			c.recorded = append(c.recorded, sample)
+		}
 		flagged := c.fl.FlagWindow(sample)
 		if flagged {
 			res.Flags++

@@ -12,7 +12,6 @@ import (
 	"evax/internal/metrics"
 	"evax/internal/runner"
 	"evax/internal/sim"
-	"evax/internal/workload"
 )
 
 // EvalCorpus collects a fresh corpus from unseen program instances (a seed
@@ -126,57 +125,45 @@ type Figure14Result struct {
 }
 
 // Figure14 runs the benign suite (unseen seeds) under each configuration
-// and records IPC.
+// and records IPC. The detector-free runs are the lab's reference runs; a
+// gated series replays its detector over each workload's NeverOn recording
+// and re-simulates only a workload whose recording it flags.
 func Figure14(lab *Lab) Figure14Result {
-	// detector selects the per-job gating detector: flaggers score through
-	// the sampling window, which mutates forward-pass scratch, so each
-	// (config, workload) job builds a flagger around a private clone.
 	configs := []struct {
 		name     string
-		detector func() *detect.Detector // nil: always-on gating
+		detector *detect.Detector // nil: always-on gating
 		policy   sim.Policy
 	}{
-		{"InvisiSpec (always on)", nil, sim.PolicyInvisiSpecSpectre},
-		{"PerSpectron-SpectreSafe", lab.PerSpec.Clone, sim.PolicyFenceAfterBranch},
-		{"EVAX-SpectreSafe", lab.EVAX.Clone, sim.PolicyFenceAfterBranch},
-		{"EVAX-SafeSpec (InvisiSpec)", lab.EVAX.Clone, sim.PolicyInvisiSpecSpectre},
-		{"EVAX-FuturisticSafeFence", lab.EVAX.Clone, sim.PolicyFenceBeforeLoad},
+		{"InvisiSpec (always on)", nil, fig14AlwaysOn},
+		{"PerSpectron-SpectreSafe", lab.PerSpec, sim.PolicyFenceAfterBranch},
+		{"EVAX-SpectreSafe", lab.EVAX, sim.PolicyFenceAfterBranch},
+		{"EVAX-SafeSpec (InvisiSpec)", lab.EVAX, sim.PolicyInvisiSpecSpectre},
+		{"EVAX-FuturisticSafeFence", lab.EVAX, sim.PolicyFenceBeforeLoad},
 	}
-	res := Figure14Result{}
-	const maxInstr = 200_000
-	suite := workload.All()
-	baseIPC := runner.Map(lab.runnerOpts(), len(suite), func(wi int) float64 {
-		p := suite[wi].Build(int64(wi)*37+901, lab.Opts.Corpus.Scale)
-		m := sim.New(sim.DefaultConfig(), p)
-		m.Run(maxInstr)
-		return m.IPC()
-	})
-	res.Baseline = metrics.Mean(baseIPC)
+	refs := lab.referenceRuns(refFig14)
+	baseIPC := make([]float64, len(refs))
+	recs := make([]*defense.Recording, len(refs))
+	for wi := range refs {
+		baseIPC[wi], recs[wi] = refs[wi].baseIPC, refs[wi].rec14
+	}
+	gates := lab.gates(recs, lab.PerSpec, lab.EVAX)
+	res := Figure14Result{Baseline: metrics.Mean(baseIPC)}
 	for _, cfg := range configs {
-		dcfg := defense.DefaultConfig(cfg.policy)
-		dcfg.SampleInterval = lab.Opts.Corpus.Interval
-		dcfg.SecureWindow = 20_000
-		type workloadRun struct {
-			ipc      float64
-			timeline []defense.IPCPoint
-		}
-		runs := runner.Map(lab.runnerOpts(), len(suite), func(wi int) workloadRun {
-			fl := defense.Flagger(defense.AlwaysOn)
-			if cfg.detector != nil {
-				fl = defense.NewDetectorFlagger(cfg.detector(), lab.DS)
+		dcfg := gatingConfig(lab.Opts.Corpus.Interval, cfg.policy)
+		runs := runner.Map(lab.runnerOpts(), len(refs), func(wi int) defense.Result {
+			if cfg.detector == nil {
+				return refs[wi].always14
 			}
-			p := suite[wi].Build(int64(wi)*37+901, lab.Opts.Corpus.Scale)
-			r := defense.RunProgram(sim.DefaultConfig(), p, fl, dcfg, maxInstr)
-			return workloadRun{ipc: r.IPC, timeline: r.Timeline}
+			return gates[cfg.detector][wi].Run(dcfg)
 		})
 		ipcs := make([]float64, len(runs))
 		for wi, r := range runs {
-			ipcs[wi] = r.ipc
+			ipcs[wi] = r.IPC
 		}
 		res.Series = append(res.Series, Figure14Series{
 			Name:     cfg.name,
 			MeanIPC:  metrics.Mean(ipcs),
-			Timeline: runs[0].timeline, // representative workload
+			Timeline: runs[0].Timeline, // representative workload
 		})
 	}
 	return res
@@ -328,46 +315,36 @@ type Figure16Result struct {
 // Figure16 measures the overhead of each mitigation always-on versus gated
 // by the EVAX and PerSpectron detectors, over the benign suite with unseen
 // seeds (performance of malicious programs is not a concern, per the paper).
+// Every row's baseline is the workload's NeverOn recording, and a gated row
+// replays its detector over that recording, as in Figure14.
 func Figure16(lab *Lab) Figure16Result {
-	const maxInstr = 150_000
-	policies := []struct {
-		name   string
-		policy sim.Policy
-	}{
-		{"Fences-SpectreSafe", sim.PolicyFenceAfterBranch},
-		{"InvisiSpec-Spectre", sim.PolicyInvisiSpecSpectre},
-		{"Fences-FuturisticSafe", sim.PolicyFenceBeforeLoad},
-		{"InvisiSpec-Futuristic", sim.PolicyInvisiSpecFuturistic},
+	refs := lab.referenceRuns(refFig16)
+	recs := make([]*defense.Recording, len(refs))
+	for wi := range refs {
+		recs[wi] = refs[wi].rec16
 	}
+	gates := lab.gates(recs, lab.PerSpec, lab.EVAX)
 
-	// run fans the benign suite out over the engine; detector is nil for
-	// always-on gating, otherwise each (workload) job wraps a private
-	// detector clone (scoring mutates forward-pass scratch). Per-workload
-	// overheads merge in suite order before the mean, so the row is
-	// byte-identical to the sequential sweep.
-	run := func(detector func() *detect.Detector, policy sim.Policy) float64 {
-		dcfg := defense.DefaultConfig(policy)
-		dcfg.SampleInterval = lab.Opts.Corpus.Interval
-		dcfg.SecureWindow = 20_000
-		suite := workload.All()
-		ovs := runner.Map(lab.runnerOpts(), len(suite), func(wi int) float64 {
-			fl := defense.Flagger(defense.AlwaysOn)
+	// run fans the benign suite out for one row; detector is nil for
+	// always-on gating. Per-workload overheads merge in suite order before
+	// the mean, so the row is byte-identical to the sequential sweep.
+	run := func(detector *detect.Detector, pi int) float64 {
+		dcfg := gatingConfig(lab.Opts.Corpus.Interval, fig16Policies[pi].policy)
+		ovs := runner.Map(lab.runnerOpts(), len(refs), func(wi int) float64 {
+			prot := refs[wi].always16[pi]
 			if detector != nil {
-				fl = defense.NewDetectorFlagger(detector(), lab.DS)
+				prot = gates[detector][wi].Run(dcfg)
 			}
-			p := suite[wi].Build(int64(wi)*37+901, lab.Opts.Corpus.Scale)
-			base := defense.RunProgram(sim.DefaultConfig(), suite[wi].Build(int64(wi)*37+901, lab.Opts.Corpus.Scale), defense.NeverOn, dcfg, maxInstr)
-			prot := defense.RunProgram(sim.DefaultConfig(), p, fl, dcfg, maxInstr)
-			return defense.Overhead(prot, base)
+			return defense.Overhead(prot, refs[wi].rec16.Result())
 		})
 		return metrics.Mean(ovs)
 	}
 
 	var res Figure16Result
-	for _, pol := range policies {
-		always := run(nil, pol.policy)
-		ev := run(lab.EVAX.Clone, pol.policy)
-		ps := run(lab.PerSpec.Clone, pol.policy)
+	for pi, pol := range fig16Policies {
+		always := run(nil, pi)
+		ev := run(lab.EVAX, pi)
+		ps := run(lab.PerSpec, pi)
 		res.Rows = append(res.Rows,
 			Figure16Row{pol.name, pol.policy, "always-on", always, 0},
 			Figure16Row{"PerSpectron-" + pol.name, pol.policy, "perspectron", ps, 1 - safeDiv(ps, always)},

@@ -20,7 +20,8 @@ import (
 )
 
 // LabOptions sizes the shared experimental setup. Scale knobs trade
-// fidelity for runtime; defaults complete in tens of seconds.
+// fidelity for runtime; with the defaults, NewLab takes about two seconds on
+// a two-core host.
 type LabOptions struct {
 	Corpus dataset.CorpusOptions
 	// GANEpochs trains the AM-GAN for this many passes.
@@ -95,6 +96,9 @@ type Lab struct {
 	// classOf maps GAN conditioning indices to ISA classes and back.
 	classList []isa.Class
 	classIdx  map[isa.Class]int
+
+	// refs holds the benign reference runs of Figures 14 and 16.
+	refs *refCache
 }
 
 // runnerOpts is the fan-out configuration shared by every lab campaign.
@@ -113,7 +117,9 @@ func (lab *Lab) campaignOpts() runner.Options {
 }
 
 // NewLab builds the full pipeline: corpus → AM-GAN → feature engineering →
-// vaccinated detector training → threshold tuning.
+// vaccinated detector training → threshold tuning. The benign reference
+// runs of Figures 14 and 16 need no detector, so they start in the
+// background after the corpus and overlap training.
 func NewLab(o LabOptions) *Lab {
 	lab, err := NewLabCtx(context.Background(), o, nil)
 	if err != nil {
@@ -135,8 +141,9 @@ func NewLabCtx(ctx context.Context, o LabOptions, corpusJournal *checkpoint.Jour
 	if err != nil {
 		return nil, err
 	}
-	lab := &Lab{Opts: o, DS: dataset.New(samples)}
+	lab := &Lab{Opts: o, DS: dataset.New(samples), refs: &refCache{}}
 	lab.indexClasses()
+	lab.startReferenceRuns()
 	lab.trainGAN()
 	lab.mineFeatures()
 	lab.trainDetectors()
