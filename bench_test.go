@@ -200,10 +200,11 @@ func BenchmarkFigure9to11_ComplexHPCs(b *testing.B) {
 
 // BenchmarkFigure14_AdaptiveIPC regenerates the adaptive-architecture IPC
 // comparison, its detector-free reference runs included, and reports EVAX's
-// IPC share of baseline.
+// IPC share of baseline. The reference runs serve Figures 14 and 16 alike,
+// so each iteration also re-simulates Figure 16's.
 func BenchmarkFigure14_AdaptiveIPC(b *testing.B) {
 	l := lab(b)
-	experiments.Figure14(l) // waits out the reference runs NewLab started
+	experiments.Figure14(l) // runs or waits out the reference runs
 	b.ResetTimer()
 	var r experiments.Figure14Result
 	for i := 0; i < b.N; i++ {
@@ -235,11 +236,11 @@ func BenchmarkFigure15_FalseRates(b *testing.B) {
 }
 
 // BenchmarkFigure16_EndToEnd regenerates the overhead comparison, its
-// detector-free reference runs included, and reports the always-on and
-// EVAX-gated fencing overheads.
+// detector-free reference runs included (Figure 14's too: both figures share
+// them), and reports the always-on and EVAX-gated fencing overheads.
 func BenchmarkFigure16_EndToEnd(b *testing.B) {
 	l := lab(b)
-	experiments.Figure16(l) // waits out the reference runs NewLab started
+	experiments.Figure16(l) // runs or waits out the reference runs
 	b.ResetTimer()
 	var r experiments.Figure16Result
 	for i := 0; i < b.N; i++ {

@@ -101,8 +101,12 @@ func (g Gate) Run(dcfg Config) Result {
 // windows in order, returns the recording if none flags, and on the first
 // flag re-simulates the protected run from instruction 0. It panics if the
 // config, program, maxInstr, SampleInterval or Quantum differ from the
-// recording's. To gate one recording under several policies, score it
-// once with Recording.Gate and call Gate.Run per policy.
+// recording's.
+//
+// Replay is rec.Gate(fl).Run(dcfg) with the identity of the run checked;
+// that check is all it adds. Callers that gate one recording under several
+// policies (Figures 14 and 16) score it once with Recording.Gate and call
+// Gate.Run per policy.
 func Replay(rec *Recording, cfg sim.Config, prog *isa.Program, fl Flagger, dcfg Config, maxInstr uint64) Result {
 	if cfg != rec.cfg || maxInstr != rec.maxInstr || (prog != rec.prog && !reflect.DeepEqual(prog, rec.prog)) {
 		panic("defense: replay of a recording made for another run")

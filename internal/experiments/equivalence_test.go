@@ -25,8 +25,8 @@ func TestExperimentsParallelEquivalence(t *testing.T) {
 	classes := []isa.Class{isa.ClassRDRANDCovert, isa.ClassDRAMA}
 	refs := func() []benignRef {
 		lab.DropReferenceRuns()
-		lab.startReferenceRuns()
-		return lab.referenceRuns(refFig14)
+		lab.overlapReferenceRuns()()
+		return lab.referenceRuns()
 	}
 
 	lab.Opts.Jobs = 1
@@ -74,7 +74,7 @@ func TestFiguresMatchOracle(t *testing.T) {
 
 	// flagged counts the workloads whose Figure 16 recording l's EVAX
 	// detector flags.
-	refs := lab.referenceRuns(refFig16)
+	refs := lab.referenceRuns()
 	flagged := func(l *Lab) int {
 		n := 0
 		for _, ref := range refs {
@@ -98,8 +98,9 @@ func TestFiguresMatchOracle(t *testing.T) {
 }
 
 // TestFiguresConcurrentCallers: Figure14 and Figure16 may run at once on
-// one lab; each starts its own reference runs after a drop, under the lab's
-// lock, and both equal their sequential results.
+// one lab; after a drop the first to take the lab's lock starts the
+// reference runs, both wait on them, and both equal their sequential
+// results.
 func TestFiguresConcurrentCallers(t *testing.T) {
 	lab := quickLab(t)
 	want14, want16 := Figure14(lab), Figure16(lab)

@@ -140,7 +140,7 @@ func Figure14(lab *Lab) Figure14Result {
 		{"EVAX-SafeSpec (InvisiSpec)", lab.EVAX, sim.PolicyInvisiSpecSpectre},
 		{"EVAX-FuturisticSafeFence", lab.EVAX, sim.PolicyFenceBeforeLoad},
 	}
-	refs := lab.referenceRuns(refFig14)
+	refs := lab.referenceRuns()
 	baseIPC := make([]float64, len(refs))
 	recs := make([]*defense.Recording, len(refs))
 	for wi := range refs {
@@ -318,7 +318,7 @@ type Figure16Result struct {
 // Every row's baseline is the workload's NeverOn recording, and a gated row
 // replays its detector over that recording, as in Figure14.
 func Figure16(lab *Lab) Figure16Result {
-	refs := lab.referenceRuns(refFig16)
+	refs := lab.referenceRuns()
 	recs := make([]*defense.Recording, len(refs))
 	for wi := range refs {
 		recs[wi] = refs[wi].rec16

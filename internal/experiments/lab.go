@@ -118,8 +118,9 @@ func (lab *Lab) campaignOpts() runner.Options {
 
 // NewLab builds the full pipeline: corpus → AM-GAN → feature engineering →
 // vaccinated detector training → threshold tuning. The benign reference
-// runs of Figures 14 and 16 need no detector, so they start in the
-// background after the corpus and overlap training.
+// runs of Figures 14 and 16 need no detector, so when the lab has more than
+// one worker they run in the background during training, which leaves a
+// core idle; any not started when NewLab returns wait for the first figure.
 func NewLab(o LabOptions) *Lab {
 	lab, err := NewLabCtx(context.Background(), o, nil)
 	if err != nil {
@@ -143,7 +144,8 @@ func NewLabCtx(ctx context.Context, o LabOptions, corpusJournal *checkpoint.Jour
 	}
 	lab := &Lab{Opts: o, DS: dataset.New(samples), refs: &refCache{}}
 	lab.indexClasses()
-	lab.startReferenceRuns()
+	yield := lab.overlapReferenceRuns()
+	defer yield()
 	lab.trainGAN()
 	lab.mineFeatures()
 	lab.trainDetectors()

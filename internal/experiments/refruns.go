@@ -43,13 +43,13 @@ func gatingConfig(interval uint64, policy sim.Policy) defense.Config {
 
 // The benign reference runs are the detector-free runs of Figures 14 and
 // 16: unprotected baselines, NeverOn recordings and always-on runs. None
-// depends on a trained detector, so NewLab starts them in the background
-// before AM-GAN training, and the figures only replay detector scoring over
-// the recordings (see defense.Replay). A gated run falls back to a full
-// protected simulation only when its detector flags a recorded window.
+// depends on a trained detector, so with a core to spare NewLab runs them in
+// the background during training, and the figures only replay detector
+// scoring over the recordings (see defense.Replay). A gated run falls back
+// to a full protected simulation only when its detector flags a recorded
+// window.
 
-// benignRef is one suite workload's reference runs. A job fills the fields
-// of the figures it was started for.
+// benignRef is one suite workload's reference runs for both figures.
 type benignRef struct {
 	// Figure 14. baseIPC is a plain machine run, not a controller run: the
 	// controller overshoots maxInstr by up to a quantum.
@@ -62,79 +62,74 @@ type benignRef struct {
 	always16 []defense.Result   // always on, per fig16Policies
 }
 
-// refSet selects the figures whose reference runs a fan-out simulates.
-type refSet uint8
-
-const (
-	refFig14 refSet = 1 << iota
-	refFig16
-)
-
-// startRefs launches set's reference runs as one background fan-out
+// startRefs launches the reference runs as one background fan-out
 // (runner.Start) with one job per suite workload.
-func startRefs(o runner.Options, c dataset.CorpusOptions, set refSet) *runner.Pending[benignRef] {
+func startRefs(o runner.Options, c dataset.CorpusOptions) *runner.Pending[benignRef] {
 	suite := workload.All()
 	return runner.Start(o, len(suite), func(wi int) benignRef {
 		// Unseen seeds; a NeverOn recording reads no policy.
 		p, cfg := suite[wi].Build(int64(wi)*37+901, c.Scale), sim.DefaultConfig()
 		recCfg := gatingConfig(c.Interval, sim.PolicyNone)
-		var r benignRef
-		if set&refFig14 != 0 {
-			m := sim.New(cfg, p)
-			m.Run(fig14Instr)
-			r.baseIPC = m.IPC()
-			r.rec14 = defense.Record(cfg, p, recCfg, fig14Instr)
-			r.always14 = defense.RunProgram(cfg, p, defense.AlwaysOn, gatingConfig(c.Interval, fig14AlwaysOn), fig14Instr)
+		m := sim.New(cfg, p)
+		m.Run(fig14Instr)
+		r := benignRef{
+			baseIPC:  m.IPC(),
+			rec14:    defense.Record(cfg, p, recCfg, fig14Instr),
+			always14: defense.RunProgram(cfg, p, defense.AlwaysOn, gatingConfig(c.Interval, fig14AlwaysOn), fig14Instr),
+			rec16:    defense.Record(cfg, p, recCfg, fig16Instr),
 		}
-		if set&refFig16 != 0 {
-			r.rec16 = defense.Record(cfg, p, recCfg, fig16Instr)
-			for _, pol := range fig16Policies {
-				dcfg := gatingConfig(c.Interval, pol.policy)
-				r.always16 = append(r.always16, defense.RunProgram(cfg, p, defense.AlwaysOn, dcfg, fig16Instr))
-			}
+		for _, pol := range fig16Policies {
+			dcfg := gatingConfig(c.Interval, pol.policy)
+			r.always16 = append(r.always16, defense.RunProgram(cfg, p, defense.AlwaysOn, dcfg, fig16Instr))
 		}
 		return r
 	})
 }
 
-// refCache is a lab's handle on its reference runs, per figure. Copies of
-// a Lab share it: the runs depend on the corpus options, not on detectors.
+// refCache is a lab's handle on its reference runs. Copies of a Lab share
+// it: the runs depend on the corpus options, not on detectors.
 type refCache struct {
-	mu           sync.Mutex
-	fig14, fig16 *runner.Pending[benignRef]
+	mu sync.Mutex
+	p  *runner.Pending[benignRef]
 }
 
-// startReferenceRuns starts both figures' reference runs as one background
-// fan-out; NewLab calls it just before AM-GAN training.
-func (lab *Lab) startReferenceRuns() {
-	p := startRefs(lab.runnerOpts(), lab.Opts.Corpus, refFig14|refFig16)
+// overlapReferenceRuns starts the reference runs in the background if the
+// lab has a worker to spare for them, and returns a func that yields the
+// runs not yet claimed to whichever figure first asks for them. NewLab
+// brackets training with it. With one worker nothing would overlap, so
+// nothing starts: the first figure runs them.
+func (lab *Lab) overlapReferenceRuns() (yield func()) {
+	if lab.runnerOpts().Workers(len(workload.All())) == 1 {
+		return func() {}
+	}
+	p := startRefs(lab.runnerOpts(), lab.Opts.Corpus)
 	lab.refs.mu.Lock()
 	defer lab.refs.mu.Unlock()
-	lab.refs.fig14, lab.refs.fig16 = p, p
+	lab.refs.p = p
+	return p.Yield
 }
 
 // DropReferenceRuns discards the lab's benign reference runs, so the next
-// Figure14 or Figure16 call simulates its own again. Benchmarks drop them
-// on every iteration to time the figures' simulation, not replay alone.
+// Figure14 or Figure16 call simulates them again. Benchmarks drop them on
+// every iteration to time the figures' simulation, not replay alone.
 func (lab *Lab) DropReferenceRuns() {
 	lab.refs.mu.Lock()
 	defer lab.refs.mu.Unlock()
-	lab.refs.fig14, lab.refs.fig16 = nil, nil
+	if lab.refs.p != nil {
+		lab.refs.p.Yield()
+	}
+	lab.refs.p = nil
 }
 
-// referenceRuns waits for one figure's reference runs (fig is refFig14 or
-// refFig16), starting them first if the lab holds none.
-func (lab *Lab) referenceRuns(fig refSet) []benignRef {
+// referenceRuns waits for the reference runs, starting them first if the
+// lab holds none.
+func (lab *Lab) referenceRuns() []benignRef {
 	r := lab.refs
 	r.mu.Lock()
-	slot := &r.fig14
-	if fig == refFig16 {
-		slot = &r.fig16
+	if r.p == nil {
+		r.p = startRefs(lab.runnerOpts(), lab.Opts.Corpus)
 	}
-	if *slot == nil {
-		*slot = startRefs(lab.runnerOpts(), lab.Opts.Corpus, fig)
-	}
-	p := *slot
+	p := r.p
 	r.mu.Unlock()
 	return p.Wait()
 }

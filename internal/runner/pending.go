@@ -13,8 +13,11 @@ import (
 type Pending[T any] struct {
 	results []T
 	panics  []*JobPanic
+	workers int
 	next    atomic.Int64
+	yielded atomic.Bool
 	pending sync.WaitGroup // one count per job, so Wait sees every slot written
+	join    sync.Once
 	run     func(i int)
 }
 
@@ -24,13 +27,15 @@ type Pending[T any] struct {
 // them until the range is exhausted. With one worker (Jobs == 1, the
 // reference ordering) Start runs every job inline before returning, so
 // nothing overlaps the caller. The background goroutines exit once no job
-// is left to claim, whether or not anyone calls Wait.
+// is left to claim or Yield is called, whether or not anyone calls Wait.
+//
+// A background fan-out is counted in Snapshot when it is joined: the first
+// Wait adds one fan-out and n jobs, however many ran before it.
 func Start[T any](o Options, n int, fn func(i int) T) *Pending[T] {
 	if n <= 0 {
 		return &Pending[T]{}
 	}
-	statFanOuts.Add(1)
-	p := &Pending[T]{results: make([]T, n), panics: make([]*JobPanic, n)}
+	p := &Pending[T]{results: make([]T, n), panics: make([]*JobPanic, n), workers: o.Workers(n)}
 	p.pending.Add(n)
 	p.run = func(i int) {
 		defer p.pending.Done()
@@ -39,23 +44,22 @@ func Start[T any](o Options, n int, fn func(i int) T) *Pending[T] {
 				p.panics[i] = &JobPanic{Index: i, Value: r, Stack: stack()}
 			}
 		}()
-		statJobs.Add(1)
 		p.results[i] = fn(i)
 	}
-	w := o.Workers(n)
-	if w == 1 {
-		p.claim()
+	if p.workers == 1 {
+		p.claim(false)
 		return p
 	}
-	for k := 0; k < w-1; k++ {
-		go p.claim()
+	for k := 1; k < p.workers; k++ {
+		go p.claim(true)
 	}
 	return p
 }
 
-// claim runs unclaimed jobs in ascending order until none are left.
-func (p *Pending[T]) claim() {
-	for {
+// claim runs unclaimed jobs in ascending order until none are left. A
+// background claimer also stops at Yield.
+func (p *Pending[T]) claim(background bool) {
+	for !background || !p.yielded.Load() {
 		i := int(p.next.Add(1)) - 1
 		if i >= len(p.results) {
 			return
@@ -64,15 +68,31 @@ func (p *Pending[T]) claim() {
 	}
 }
 
+// Yield stops the background workers claiming jobs: each finishes the job
+// it is running and exits, and the jobs left unclaimed wait for Wait. A
+// caller yields when the idle cores it started the fan-out to use are
+// about to be wanted elsewhere. Results are unchanged.
+func (p *Pending[T]) Yield() { p.yielded.Store(true) }
+
 // Wait claims any jobs not yet started, blocks until every job is done and
-// returns the results in index order. A job panic re-raises here as the
-// lowest-indexed *JobPanic. Wait may be called more than once, from any
-// goroutine; every call returns the same slice.
+// returns the results in index order. After a Yield it spreads the
+// remaining jobs over the fan-out's workers again. A job panic re-raises
+// here as the lowest-indexed *JobPanic. Wait may be called more than once,
+// from any goroutine; every call returns the same slice.
 func (p *Pending[T]) Wait() []T {
 	if p.run == nil {
 		return nil
 	}
-	p.claim()
+	p.join.Do(func() {
+		statFanOuts.Add(1)
+		statJobs.Add(uint64(len(p.results)))
+		if p.yielded.Load() {
+			for k := 1; k < p.workers; k++ {
+				go p.claim(false)
+			}
+		}
+	})
+	p.claim(false)
 	p.pending.Wait()
 	for _, jp := range p.panics { // lowest index wins: deterministic attribution
 		if jp != nil {

@@ -2,7 +2,9 @@ package runner
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestStartOrderIndependentOfWorkers: a background fan-out returns the
@@ -97,12 +99,43 @@ func TestStartConcurrentWait(t *testing.T) {
 	}
 }
 
-// TestStartSnapshotCounts: one background fan-out counts once, and every
-// job counts once.
+// TestStartYield: after Yield the background workers claim no new job,
+// and Wait runs the rest, with the sequential loop's results.
+func TestStartYield(t *testing.T) {
+	started, gate := make(chan struct{}), make(chan struct{})
+	var ran atomic.Int64
+	fn := func(i int) int {
+		if i == 0 {
+			close(started)
+			<-gate
+		}
+		ran.Add(1)
+		return 2 * i
+	}
+	p := Start(Options{Jobs: 2}, 10, fn)
+	<-started // the one background worker holds job 0
+	p.Yield()
+	close(gate)
+	time.Sleep(50 * time.Millisecond) // time enough to claim jobs 1..9, had Yield not stopped it
+	if n := ran.Load(); n > 1 {
+		t.Fatalf("background worker ran %d jobs after Yield, want only its in-flight one", n)
+	}
+	if got := p.Wait(); !reflect.DeepEqual(got, sequential(10, func(i int) int { return 2 * i })) {
+		t.Fatalf("Wait after Yield = %v", got)
+	}
+}
+
+// TestStartSnapshotCounts: a background fan-out counts once, with all its
+// jobs, when first joined; one never joined does not count.
 func TestStartSnapshotCounts(t *testing.T) {
 	for _, jobs := range []int{1, 3} {
 		before := Snapshot()
-		Start(Options{Jobs: jobs}, 10, func(i int) int { return i }).Wait()
+		p := Start(Options{Jobs: jobs}, 10, func(i int) int { return i })
+		if mid := Snapshot(); mid != before {
+			t.Fatalf("jobs=%d: counted before Wait: %+v, was %+v", jobs, mid, before)
+		}
+		p.Wait()
+		p.Wait()
 		after := Snapshot()
 		if n := after.JobsRun - before.JobsRun; n != 10 {
 			t.Fatalf("jobs=%d: jobs counted: %d", jobs, n)

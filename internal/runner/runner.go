@@ -87,9 +87,10 @@ func (p *JobPanic) Error() string {
 // Stats is a process-wide snapshot of engine activity, for throughput
 // reporting in cmd/evaxbench and cmd/evaxtrain.
 type Stats struct {
-	// JobsRun counts jobs executed since process start.
+	// JobsRun counts jobs executed since process start; a background
+	// fan-out's jobs count when it is joined (Pending.Wait).
 	JobsRun uint64
-	// FanOuts counts Map/MapErr invocations.
+	// FanOuts counts Map/MapErr invocations and joined Start fan-outs.
 	FanOuts uint64
 }
 
