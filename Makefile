@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench bench-sim bench-json fuzz check fmt
+.PHONY: build test race lint bench bench-sim bench-train bench-json fuzz check fmt
 
 build: ## compile every package
 	$(GO) build ./...
@@ -27,6 +27,9 @@ bench: ## run the microbenchmarks
 
 bench-sim: ## one pass of the simulator benchmarks (instr/s, B/instr; fails if the attack goes inert)
 	$(GO) test -run '^$$' -bench 'SimulatorThroughput|AttackSimulation' -benchtime 1x .
+
+bench-train: ## one pass of the AM-GAN training benchmark at the lab's shape
+	$(GO) test -run '^$$' -bench 'AMGANTrain' -benchtime 1x .
 
 bench-json: ## runner speedup + equivalence report (BENCH_runner.json)
 	$(GO) run ./cmd/evaxbench -benchjson BENCH_runner.json -quick

@@ -10,6 +10,7 @@
 package evax
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"evax/internal/defense"
 	"evax/internal/detect"
 	"evax/internal/experiments"
+	"evax/internal/gan"
 	"evax/internal/hpc"
 	"evax/internal/isa"
 	"evax/internal/perceptron"
@@ -125,6 +127,38 @@ func BenchmarkGANGenerate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.GAN.Generate(i % 22)
+	}
+}
+
+// BenchmarkAMGANTrain measures AM-GAN training at the lab's shape: 133
+// base features, 22 classes, 30 samples per class, a 64-48 generator and
+// 12 epochs (the single-threaded stretch of NewLab). The samples are
+// seeded sparse counter vectors, so the run is deterministic.
+func BenchmarkAMGANTrain(b *testing.B) {
+	const features, classes, perClass, epochs = 133, 22, 30, 12
+	rng := rand.New(rand.NewSource(1))
+	var vecs [][]float64
+	var labels []int
+	for c := 0; c < classes; c++ {
+		for s := 0; s < perClass; s++ {
+			v := make([]float64, features)
+			for j := range v {
+				if rng.Intn(3) == 0 {
+					v[j] = rng.Float64()
+				}
+			}
+			vecs = append(vecs, v)
+			labels = append(labels, c)
+		}
+	}
+	cfg := gan.DefaultConfig(features, classes)
+	cfg.GenHidden = []int{64, 48}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := gan.New(cfg).Train(vecs, labels, epochs)
+		if len(res.Epochs) != epochs {
+			b.Fatalf("trained %d epochs, want %d", len(res.Epochs), epochs)
+		}
 	}
 }
 

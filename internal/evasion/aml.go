@@ -57,6 +57,8 @@ func (a *AML) Descend(det *detect.Detector, base []float64) Result {
 func (a *AML) perturb(det *detect.Detector, base []float64, respectFloors, stopAtBoundary bool) Result {
 	adv := append([]float64(nil), base...)
 	res := Result{}
+	gradOut := []float64{1}
+	g := make([]float64, len(adv))
 	for it := 0; it < a.MaxIter; it++ {
 		res.Iterations = it + 1
 		score := det.ScoreBase(adv)
@@ -67,11 +69,8 @@ func (a *AML) perturb(det *detect.Detector, base []float64, respectFloors, stopA
 		// through the engineered-feature extension.
 		x := det.Plan.Extend(adv)
 		det.Net.Forward(x)
-		gradOut := []float64{1}
-		gIn := det.Net.Backward(gradOut)
-		det.Net.ClearGrads()
+		gIn := det.Net.InputGrad(gradOut)
 		// Engineered features j = A*B contribute dJ/dA = grad_j * B.
-		g := make([]float64, len(adv))
 		copy(g, gIn[:len(adv)])
 		for k, f := range det.Plan.Engineered() {
 			ge := gIn[len(adv)+k]

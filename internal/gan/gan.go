@@ -236,10 +236,8 @@ func (a *AMGAN) TrainStep(real []float64, class int) (dLoss, gLoss float64) {
 	a.sampleNoise()
 	pred = a.D.Forward(a.discInput(a.G.Forward(a.genInput(class)), class))
 	gLoss = ml.BCE(pred, a.ones, grad)
-	dIn := a.D.Backward(grad)
-	a.D.ClearGrads() // D is frozen during the generator update
-	a.G.Backward(dIn[:a.cfg.FeatureDim])
-	a.G.Step(a.cfg.LR, a.cfg.Momentum, 1)
+	dIn := a.D.InputGrad(grad)
+	a.G.Descend(dIn[:a.cfg.FeatureDim], a.cfg.LR, a.cfg.Momentum)
 
 	// Conditional reconstruction anchor. Cross-entropy (not MSE) against
 	// the sigmoid output keeps gradients alive at the sparse extremes of
@@ -252,8 +250,7 @@ func (a *AMGAN) TrainStep(real []float64, class int) (dLoss, gLoss float64) {
 		for i := range rgrad {
 			rgrad[i] *= a.cfg.ReconWeight
 		}
-		a.G.Backward(rgrad)
-		a.G.Step(a.cfg.LR, a.cfg.Momentum, 1)
+		a.G.Descend(rgrad, a.cfg.LR, a.cfg.Momentum)
 	}
 	return dLoss, gLoss
 }
@@ -279,7 +276,8 @@ type EpochStats struct {
 // quality monitor, Figure 7). classes[i] labels samples[i].
 func (a *AMGAN) Train(samples [][]float64, classes []int, epochs int) TrainResult {
 	var res TrainResult
-	res.InitialStyleLoss = a.StyleLoss(samples, classes, 24)
+	real := realStyle(samples, classes, 24)
+	res.InitialStyleLoss = a.styleLoss(real)
 	order := a.rng.Perm(len(samples))
 	for e := 0; e < epochs; e++ {
 		var dSum, gSum float64
@@ -292,7 +290,7 @@ func (a *AMGAN) Train(samples [][]float64, classes []int, epochs int) TrainResul
 			Epoch:     e,
 			DLoss:     dSum / float64(len(order)),
 			GLoss:     gSum / float64(len(order)),
-			StyleLoss: a.StyleLoss(samples, classes, 24),
+			StyleLoss: a.styleLoss(real),
 		})
 	}
 	return res
@@ -303,6 +301,19 @@ func (a *AMGAN) Train(samples [][]float64, classes []int, epochs int) TrainResul
 // generated samples co-activate features the way real attacks of that class
 // do.
 func (a *AMGAN) StyleLoss(samples [][]float64, classes []int, n int) float64 {
+	return a.styleLoss(realStyle(samples, classes, n))
+}
+
+// styleClass is the real side of one class's style loss, which never
+// changes during training: the real window's length and Gram matrix.
+type styleClass struct {
+	class, window int
+	gram          [][]float64
+}
+
+// realStyle windows the real samples, the first n of each class with at
+// least two samples, in ascending class order.
+func realStyle(samples [][]float64, classes []int, n int) []styleClass {
 	byClass := map[int][][]float64{}
 	for i, c := range classes {
 		byClass[c] = append(byClass[c], samples[i])
@@ -314,8 +325,7 @@ func (a *AMGAN) StyleLoss(samples [][]float64, classes []int, n int) float64 {
 		classOrder = append(classOrder, c)
 	}
 	sort.Ints(classOrder)
-	var total float64
-	var classesSeen int
+	var out []styleClass
 	for _, c := range classOrder {
 		real := byClass[c]
 		if len(real) < 2 {
@@ -324,12 +334,21 @@ func (a *AMGAN) StyleLoss(samples [][]float64, classes []int, n int) float64 {
 		if len(real) > n {
 			real = real[:n]
 		}
-		gen := a.GenerateBatch(c, len(real))
-		total += gram.SeriesStyleLoss(real, gen, 1)
-		classesSeen++
+		out = append(out, styleClass{class: c, window: len(real), gram: gram.Matrix(real)})
 	}
-	if classesSeen == 0 {
+	return out
+}
+
+// styleLoss generates a window for each real class window and averages
+// their style losses.
+func (a *AMGAN) styleLoss(real []styleClass) float64 {
+	if len(real) == 0 {
 		return 0
 	}
-	return total / float64(classesSeen)
+	var total float64
+	for _, r := range real {
+		gen := a.GenerateBatch(r.class, r.window)
+		total += gram.StyleLoss(r.gram, gram.Matrix(gen), 1)
+	}
+	return total / float64(len(real))
 }

@@ -25,14 +25,14 @@ func Matrix(series [][]float64) [][]float64 {
 		g[i] = backing[i*n : (i+1)*n]
 	}
 	for _, row := range series {
-		for i := 0; i < n; i++ {
-			vi := row[i]
+		row = row[:n]
+		for i, vi := range row {
 			if fmath.Zero(vi) {
 				continue
 			}
-			gi := g[i]
-			for j := 0; j < n; j++ {
-				gi[j] += vi * row[j]
+			gi := g[i][:n]
+			for j, vj := range row {
+				gi[j] += vi * vj
 			}
 		}
 	}

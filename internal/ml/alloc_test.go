@@ -2,17 +2,41 @@ package ml
 
 import "testing"
 
-// TestBackwardAllocFree pins Backward at zero allocations: the input
-// gradient lands in a buffer the network owns.
-func TestBackwardAllocFree(t *testing.T) {
+func allocNet() *Network {
 	n := New(3, []int{9, 7, 5, 1}, LeakyReLU, Sigmoid)
 	x := make([]float64, 9)
 	for i := range x {
 		x[i] = float64(i) / 9
 	}
 	n.Forward(x)
+	return n
+}
+
+// TestBackwardAllocFree pins Backward at zero allocations: every gradient
+// lands in a buffer the network owns.
+func TestBackwardAllocFree(t *testing.T) {
+	n := allocNet()
 	grad := []float64{0.5}
 	if a := testing.AllocsPerRun(100, func() { n.Backward(grad) }); a != 0 {
 		t.Fatalf("Backward allocates %v times per call, want 0", a)
+	}
+}
+
+// TestInputGradAllocFree pins InputGrad at zero allocations: the input
+// gradient lands in a buffer the network owns.
+func TestInputGradAllocFree(t *testing.T) {
+	n := allocNet()
+	grad := []float64{0.5}
+	if a := testing.AllocsPerRun(100, func() { n.InputGrad(grad) }); a != 0 {
+		t.Fatalf("InputGrad allocates %v times per call, want 0", a)
+	}
+}
+
+// TestDescendAllocFree pins Descend at zero allocations.
+func TestDescendAllocFree(t *testing.T) {
+	n := allocNet()
+	grad := []float64{0.5}
+	if a := testing.AllocsPerRun(100, func() { n.Descend(grad, 0.01, 0.5) }); a != 0 {
+		t.Fatalf("Descend allocates %v times per call, want 0", a)
 	}
 }

@@ -82,7 +82,7 @@ type Layer struct {
 	x      []float64 // last input
 	y      []float64 // last output (post-activation)
 	delta  []float64 // dL/dz for the last sample
-	gradIn []float64 // dL/dInput for the last Backward
+	gradIn []float64 // dL/dInput for the last backward pass
 
 	// Accumulated gradients and momentum.
 	gradW [][]float64
@@ -96,6 +96,9 @@ type Network struct {
 	Layers []*Layer
 
 	lossGrad []float64 // TrainSample's dL/dPred scratch
+	// pending is set by Backward and cleared by Step: accumulated
+	// gradients are waiting to be applied, so Descend must not run.
+	pending bool
 }
 
 // New creates a network with the given layer sizes, e.g. sizes =
@@ -189,36 +192,84 @@ func (l *Layer) forward(x []float64) {
 }
 
 // Backward backpropagates dL/dOutput for the most recent Forward sample,
-// accumulating parameter gradients. It returns dL/dInput (the gradient the
-// GAN feeds from discriminator into generator). Like Forward's output, the
-// returned slice is owned by the network and overwritten by the next
-// Backward; copy it if retaining.
-func (n *Network) Backward(gradOut []float64) []float64 {
+// accumulating parameter gradients for the next Step. It computes no
+// gradient for the network input: accumulating callers never read it, and
+// InputGrad computes it on its own.
+func (n *Network) Backward(gradOut []float64) {
 	grad := gradOut
 	for li := len(n.Layers) - 1; li >= 0; li-- {
 		l := n.Layers[li]
-		delta := l.delta
-		y := l.y[:len(delta)]
-		grad = grad[:len(delta)]
-		for o := range delta {
-			delta[o] = grad[o] * l.Act.deriv(y[o])
+		l.setDelta(grad)
+		l.accumulate()
+		if li == 0 {
+			break
 		}
-		// grad is fully consumed into delta above, so the layer's
-		// buffer can be reused even if the caller passed it back in.
-		l.backward()
+		l.inputGrad()
+		grad = l.gradIn
+	}
+	n.pending = true
+}
+
+// InputGrad backpropagates dL/dOutput for the most recent Forward sample
+// and returns dL/dInput, leaving parameter gradients untouched (the
+// gradient the GAN pulls through a frozen discriminator). Like Forward's
+// output, the returned slice is owned by the network and overwritten by
+// the next InputGrad; copy it if retaining.
+//
+//evaxlint:hotpath
+func (n *Network) InputGrad(gradOut []float64) []float64 {
+	grad := gradOut
+	for li := len(n.Layers) - 1; li >= 0; li-- {
+		l := n.Layers[li]
+		l.setDelta(grad)
+		l.inputGrad()
 		grad = l.gradIn
 	}
 	return grad
 }
 
-// backward accumulates the parameter gradients for l.delta and writes
-// dL/dInput into l.gradIn, four output rows at a time. Every gradW and
-// gradB cell receives its one addition, and every gradIn[i] its additions
-// in output order starting from zero, exactly as one row at a time would.
-func (l *Layer) backward() {
-	delta, x, next := l.delta, l.x, l.gradIn
-	W, gW, gb := l.W[:len(delta)], l.gradW[:len(delta)], l.gradB[:len(delta)]
-	clear(next)
+// Descend is Backward followed by Step(lr, momentum, 1), fused into one
+// pass per layer that never touches the accumulated gradients. Every
+// weight, bias and velocity comes out bit-identical to the two-call form
+// (DESIGN.md §7). It panics if Backward has accumulated gradients that no
+// Step has applied yet.
+//
+//evaxlint:hotpath
+func (n *Network) Descend(gradOut []float64, lr, momentum float64) {
+	if n.pending {
+		panic("ml: Descend with accumulated gradients pending; Step them first")
+	}
+	grad := gradOut
+	for li := len(n.Layers) - 1; li >= 0; li-- {
+		l := n.Layers[li]
+		l.setDelta(grad)
+		if li == 0 {
+			l.descend(lr, momentum)
+			break
+		}
+		l.descendInputGrad(lr, momentum)
+		grad = l.gradIn
+	}
+}
+
+// setDelta writes dL/dz into l.delta from grad = dL/dOutput. grad is fully
+// consumed here, so the layer's gradIn buffer can be reused even if the
+// caller passed it back in.
+func (l *Layer) setDelta(grad []float64) {
+	delta := l.delta
+	y := l.y[:len(delta)]
+	grad = grad[:len(delta)]
+	for o := range delta {
+		delta[o] = grad[o] * l.Act.deriv(y[o])
+	}
+}
+
+// accumulate adds the parameter gradients for l.delta, four output rows at
+// a time. Every gradW and gradB cell receives its one addition, exactly as
+// one row at a time would.
+func (l *Layer) accumulate() {
+	delta, x := l.delta, l.x
+	gW, gb := l.gradW[:len(delta)], l.gradB[:len(delta)]
 	o := 0
 	for ; o+4 <= len(delta); o += 4 {
 		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
@@ -233,6 +284,29 @@ func (l *Layer) backward() {
 		gb[o+1] += d1
 		gb[o+2] += d2
 		gb[o+3] += d3
+	}
+	for ; o < len(delta); o++ {
+		d := delta[o]
+		gw := gW[o][:len(x)]
+		for i, xi := range x {
+			gw[i] += d * xi
+		}
+		gb[o] += d
+	}
+}
+
+// inputGrad writes dL/dInput for l.delta into l.gradIn, four output rows
+// at a time. Every gradIn[i] receives its additions in output order
+// starting from zero, exactly as one row at a time would.
+//
+//evaxlint:hotpath
+func (l *Layer) inputGrad() {
+	delta, next := l.delta, l.gradIn
+	W := l.W[:len(delta)]
+	clear(next)
+	o := 0
+	for ; o+4 <= len(delta); o += 4 {
+		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
 		w0, w1, w2, w3 := W[o][:len(next)], W[o+1][:len(next)], W[o+2][:len(next)], W[o+3][:len(next)]
 		for i, s := range next {
 			s += d0 * w0[i]
@@ -244,15 +318,96 @@ func (l *Layer) backward() {
 	}
 	for ; o < len(delta); o++ {
 		d := delta[o]
-		gw := gW[o][:len(x)]
-		for i, xi := range x {
-			gw[i] += d * xi
-		}
-		gb[o] += d
 		w := W[o][:len(next)]
 		for i := range next {
 			next[i] += d * w[i]
 		}
+	}
+}
+
+// sgd is Step's update of one parameter p with velocity v for a one-sample
+// gradient g.
+func sgd(p, v, g, lr, momentum float64) (float64, float64) {
+	v = momentum*v - lr*g
+	return p + v, v
+}
+
+// descend applies one SGD step for l.delta directly, four output rows at a
+// time. Each gradient is formed as Step would find it in a cleared cell,
+// 0 + d*x, so a -0 product still updates the velocity as +0.
+//
+//evaxlint:hotpath
+func (l *Layer) descend(lr, momentum float64) {
+	delta, x := l.delta, l.x
+	W, vW := l.W[:len(delta)], l.velW[:len(delta)]
+	o := 0
+	for ; o+4 <= len(delta); o += 4 {
+		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
+		w0, w1, w2, w3 := W[o][:len(x)], W[o+1][:len(x)], W[o+2][:len(x)], W[o+3][:len(x)]
+		v0, v1, v2, v3 := vW[o][:len(x)], vW[o+1][:len(x)], vW[o+2][:len(x)], vW[o+3][:len(x)]
+		for i, xi := range x {
+			w0[i], v0[i] = sgd(w0[i], v0[i], 0+d0*xi, lr, momentum)
+			w1[i], v1[i] = sgd(w1[i], v1[i], 0+d1*xi, lr, momentum)
+			w2[i], v2[i] = sgd(w2[i], v2[i], 0+d2*xi, lr, momentum)
+			w3[i], v3[i] = sgd(w3[i], v3[i], 0+d3*xi, lr, momentum)
+		}
+	}
+	for ; o < len(delta); o++ {
+		d := delta[o]
+		w, v := W[o][:len(x)], vW[o][:len(x)]
+		for i, xi := range x {
+			w[i], v[i] = sgd(w[i], v[i], 0+d*xi, lr, momentum)
+		}
+	}
+	l.descendBias(lr, momentum)
+}
+
+// descendInputGrad is inputGrad and descend in one pass: each weight is
+// read for dL/dInput before its own update, and every gradIn[i] still
+// receives its additions in output order starting from zero.
+//
+//evaxlint:hotpath
+func (l *Layer) descendInputGrad(lr, momentum float64) {
+	delta, x, next := l.delta, l.x, l.gradIn[:len(l.x)]
+	W, vW := l.W[:len(delta)], l.velW[:len(delta)]
+	clear(next)
+	o := 0
+	for ; o+4 <= len(delta); o += 4 {
+		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
+		w0, w1, w2, w3 := W[o][:len(x)], W[o+1][:len(x)], W[o+2][:len(x)], W[o+3][:len(x)]
+		v0, v1, v2, v3 := vW[o][:len(x)], vW[o+1][:len(x)], vW[o+2][:len(x)], vW[o+3][:len(x)]
+		for i, xi := range x {
+			p0, p1, p2, p3 := w0[i], w1[i], w2[i], w3[i]
+			s := next[i]
+			s += d0 * p0
+			s += d1 * p1
+			s += d2 * p2
+			s += d3 * p3
+			next[i] = s
+			w0[i], v0[i] = sgd(p0, v0[i], 0+d0*xi, lr, momentum)
+			w1[i], v1[i] = sgd(p1, v1[i], 0+d1*xi, lr, momentum)
+			w2[i], v2[i] = sgd(p2, v2[i], 0+d2*xi, lr, momentum)
+			w3[i], v3[i] = sgd(p3, v3[i], 0+d3*xi, lr, momentum)
+		}
+	}
+	for ; o < len(delta); o++ {
+		d := delta[o]
+		w, v := W[o][:len(x)], vW[o][:len(x)]
+		for i, xi := range x {
+			p := w[i]
+			next[i] += d * p
+			w[i], v[i] = sgd(p, v[i], 0+d*xi, lr, momentum)
+		}
+	}
+	l.descendBias(lr, momentum)
+}
+
+// descendBias is descend's update of the biases.
+func (l *Layer) descendBias(lr, momentum float64) {
+	delta := l.delta
+	b, vb := l.B[:len(delta)], l.velB[:len(delta)]
+	for o, d := range delta {
+		b[o], vb[o] = sgd(b[o], vb[o], 0+d, lr, momentum)
 	}
 }
 
@@ -280,6 +435,7 @@ func (n *Network) Step(lr, momentum float64, batch int) {
 			gb[o] = 0
 		}
 	}
+	n.pending = false
 }
 
 // ProjectNonNegative clamps every weight to be >= 0 (biases unconstrained).
@@ -296,18 +452,6 @@ func (n *Network) ProjectNonNegative() {
 				}
 			}
 		}
-	}
-}
-
-// ClearGrads discards accumulated gradients without touching weights or
-// momentum (used when a backward pass was only needed for its input
-// gradient, as in GAN generator training).
-func (n *Network) ClearGrads() {
-	for _, l := range n.Layers {
-		for _, gw := range l.gradW {
-			clear(gw)
-		}
-		clear(l.gradB)
 	}
 }
 

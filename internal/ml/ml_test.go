@@ -99,7 +99,7 @@ func TestInputGradientCheck(t *testing.T) {
 	pred := n.Forward(x)
 	grad := make([]float64, 1)
 	BCE(pred, target, grad)
-	gin := n.Backward(grad)
+	gin := n.InputGrad(grad)
 	if len(gin) != 3 {
 		t.Fatalf("input gradient len = %d", len(gin))
 	}
@@ -275,14 +275,13 @@ func TestMonotoneScoreProperty(t *testing.T) {
 	}
 }
 
-func TestClearGradsKeepsWeights(t *testing.T) {
+func TestInputGradKeepsWeights(t *testing.T) {
 	n := New(2, []int{2, 1}, Linear, Sigmoid)
 	x := []float64{1, -1}
 	before := n.Forward(x)[0]
-	n.TrainSample(x, []float64{1})
-	n.ClearGrads()
-	n.Step(1.0, 0, 1) // cleared gradients: weights must not move
+	n.InputGrad([]float64{0.5})
+	n.Step(1.0, 0, 1) // no gradients accumulated: weights must not move
 	if after := n.Forward(x)[0]; after != before {
-		t.Fatalf("ClearGrads did not discard gradients: %v -> %v", before, after)
+		t.Fatalf("InputGrad accumulated parameter gradients: %v -> %v", before, after)
 	}
 }
