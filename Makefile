@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench bench-sim bench-train bench-json fuzz check fmt
+.PHONY: build test race lint vet-portable bench bench-sim bench-train bench-json fuzz check fmt
 
 build: ## compile every package
 	$(GO) build ./...
@@ -21,6 +21,9 @@ lint: ## gofmt (fail on diff), go vet, and the evaxlint suite
 	fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/evaxlint ./...
+
+vet-portable: ## go vet for arm64, so the non-assembly (portable) code paths keep compiling
+	GOARCH=arm64 $(GO) vet ./...
 
 bench: ## run the microbenchmarks
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -40,4 +43,4 @@ fuzz: ## frame-decoder fuzz smoke (10 s)
 fmt: ## rewrite sources with gofmt
 	gofmt -w .
 
-check: build lint test ## everything except race/bench (fast pre-push gate)
+check: build lint vet-portable test ## everything except race/bench (fast pre-push gate)

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -14,7 +15,8 @@ import (
 )
 
 // LoadModule parses and type-checks every non-test package under root (a
-// directory containing go.mod) and returns them in dependency order.
+// directory containing go.mod), keeping only the files the host's build
+// constraints select, and returns them in dependency order.
 // Patterns restrict which packages are *analyzed* later (see Match);
 // loading always covers the whole module so cross-package rules (ctrname)
 // see the full picture. Test files (_test.go) are excluded by design: the
@@ -54,6 +56,17 @@ func LoadModule(root string) (*Program, error) {
 		for _, e := range entries {
 			name := e.Name()
 			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			// Honour build constraints (file-name GOOS/GOARCH suffixes and
+			// //go:build lines) as `go build` would on this host, so an
+			// arch-specific file and its portable twin are never checked
+			// together.
+			ok, err := build.Default.MatchFile(dir, name)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
 				continue
 			}
 			fname := filepath.Join(dir, name)

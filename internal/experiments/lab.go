@@ -20,8 +20,8 @@ import (
 )
 
 // LabOptions sizes the shared experimental setup. Scale knobs trade
-// fidelity for runtime; with the defaults, NewLab takes about 1.8 seconds
-// on a two-core Xeon host.
+// fidelity for runtime; with the defaults, NewLab takes about 1.7 seconds
+// on a two-core Xeon host with AVX2.
 type LabOptions struct {
 	Corpus dataset.CorpusOptions
 	// GANEpochs trains the AM-GAN for this many passes.

@@ -156,14 +156,25 @@ func (a *AMGAN) Generate(class int) []float64 {
 // GenerateBatch emits n samples of a class. The rows share one contiguous
 // backing array (cap-clamped views, so appending through a row copies).
 func (a *AMGAN) GenerateBatch(class, n int) [][]float64 {
-	dim := a.G.OutputSize()
-	backing := make([]float64, n*dim)
-	out := make([][]float64, n)
-	for i := range out {
+	out := matrix(n, a.G.OutputSize())
+	a.generateInto(class, out)
+	return out
+}
+
+// generateInto overwrites each row with a fresh sample of a class.
+func (a *AMGAN) generateInto(class int, rows [][]float64) {
+	for _, row := range rows {
 		a.sampleNoise()
-		row := backing[i*dim : (i+1)*dim : (i+1)*dim]
 		copy(row, a.G.Forward(a.genInput(class)))
-		out[i] = row
+	}
+}
+
+// matrix returns rows×cols zeros as cap-clamped rows of one backing array.
+func matrix(rows, cols int) [][]float64 {
+	backing := make([]float64, rows*cols)
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
 	}
 	return out
 }
@@ -277,7 +288,8 @@ type EpochStats struct {
 func (a *AMGAN) Train(samples [][]float64, classes []int, epochs int) TrainResult {
 	var res TrainResult
 	real := realStyle(samples, classes, 24)
-	res.InitialStyleLoss = a.styleLoss(real)
+	scratch := a.newStyleScratch(real)
+	res.InitialStyleLoss = a.styleLoss(real, scratch)
 	order := a.rng.Perm(len(samples))
 	for e := 0; e < epochs; e++ {
 		var dSum, gSum float64
@@ -290,7 +302,7 @@ func (a *AMGAN) Train(samples [][]float64, classes []int, epochs int) TrainResul
 			Epoch:     e,
 			DLoss:     dSum / float64(len(order)),
 			GLoss:     gSum / float64(len(order)),
-			StyleLoss: a.styleLoss(real),
+			StyleLoss: a.styleLoss(real, scratch),
 		})
 	}
 	return res
@@ -301,7 +313,8 @@ func (a *AMGAN) Train(samples [][]float64, classes []int, epochs int) TrainResul
 // generated samples co-activate features the way real attacks of that class
 // do.
 func (a *AMGAN) StyleLoss(samples [][]float64, classes []int, n int) float64 {
-	return a.styleLoss(realStyle(samples, classes, n))
+	real := realStyle(samples, classes, n)
+	return a.styleLoss(real, a.newStyleScratch(real))
 }
 
 // styleClass is the real side of one class's style loss, which never
@@ -339,16 +352,34 @@ func realStyle(samples [][]float64, classes []int, n int) []styleClass {
 	return out
 }
 
+// styleScratch holds the generated side of the style loss: one window of
+// generated rows, as long as the longest real window, and its Gram matrix.
+// Train reuses it for every class and epoch.
+type styleScratch struct {
+	window, gram [][]float64
+}
+
+func (a *AMGAN) newStyleScratch(real []styleClass) *styleScratch {
+	longest := 0
+	for _, r := range real {
+		longest = max(longest, r.window)
+	}
+	dim := a.G.OutputSize()
+	return &styleScratch{window: matrix(longest, dim), gram: matrix(dim, dim)}
+}
+
 // styleLoss generates a window for each real class window and averages
 // their style losses.
-func (a *AMGAN) styleLoss(real []styleClass) float64 {
+func (a *AMGAN) styleLoss(real []styleClass, s *styleScratch) float64 {
 	if len(real) == 0 {
 		return 0
 	}
 	var total float64
 	for _, r := range real {
-		gen := a.GenerateBatch(r.class, r.window)
-		total += gram.StyleLoss(r.gram, gram.Matrix(gen), 1)
+		gen := s.window[:r.window]
+		a.generateInto(r.class, gen)
+		gram.MatrixInto(s.gram, gen)
+		total += gram.StyleLoss(r.gram, s.gram, 1)
 	}
 	return total / float64(len(real))
 }

@@ -9,7 +9,10 @@
 // score near zero and cross-type pairs score high (paper Figures 6 and 7).
 package gram
 
-import "evax/internal/fmath"
+import (
+	"evax/internal/fmath"
+	"evax/internal/vec"
+)
 
 // Matrix computes the Gram matrix of a feature time series: series[t][f] is
 // feature f at time step t; the result G[i][j] = Σ_t series[t][i]·series[t][j],
@@ -24,23 +27,37 @@ func Matrix(series [][]float64) [][]float64 {
 	for i := range g {
 		g[i] = backing[i*n : (i+1)*n]
 	}
+	MatrixInto(g, series)
+	return g
+}
+
+// MatrixInto is Matrix writing into dst, an n×n matrix for n features,
+// which it zeroes first (and leaves zero for an empty series). Terms whose
+// left factor is within fmath.Eps of zero are skipped.
+func MatrixInto(dst, series [][]float64) {
+	n := len(dst)
+	for _, gi := range dst {
+		clear(gi[:n])
+	}
+	if len(series) == 0 {
+		return
+	}
 	for _, row := range series {
 		row = row[:n]
 		for i, vi := range row {
 			if fmath.Zero(vi) {
 				continue
 			}
-			gi := g[i][:n]
-			for j, vj := range row {
-				gi[j] += vi * vj
-			}
+			vec.Axpy(dst[i][:n], row, vi)
 		}
 	}
 	inv := 1 / float64(len(series))
-	for i := range backing {
-		backing[i] *= inv
+	for _, gi := range dst {
+		gi = gi[:n]
+		for j := range gi {
+			gi[j] *= inv
+		}
 	}
-	return g
 }
 
 // VectorMatrix computes the Gram matrix of a single feature vector (outer

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"evax/internal/fmath"
 )
 
 func TestMatrixBasic(t *testing.T) {
@@ -51,6 +53,86 @@ func TestMatrixEmpty(t *testing.T) {
 	if Matrix(nil) != nil {
 		t.Fatal("empty series should give nil matrix")
 	}
+}
+
+// scalarMatrix is Matrix written as one scalar loop, the reference for
+// the row-kernel version.
+func scalarMatrix(series [][]float64) [][]float64 {
+	n := len(series[0])
+	g := make([][]float64, n)
+	for i := range g {
+		g[i] = make([]float64, n)
+	}
+	for _, row := range series {
+		for i, vi := range row[:n] {
+			if fmath.Zero(vi) {
+				continue
+			}
+			for j, vj := range row[:n] {
+				g[i][j] += vi * vj
+			}
+		}
+	}
+	inv := 1 / float64(len(series))
+	for i := range g {
+		for j := range g[i] {
+			g[i][j] *= inv
+		}
+	}
+	return g
+}
+
+func sameMatrixBits(t *testing.T, got, want [][]float64) {
+	t.Helper()
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("G[%d][%d] = %v, want %v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestMatrixNearZeroTerms pins the fmath.Eps skip at the AM-GAN's width:
+// features within Eps of zero (exact ±0, ±Eps, ±1e-10) contribute no row
+// terms, while values just above Eps do, bit for bit as the scalar loop.
+func TestMatrixNearZeroTerms(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	tiny := []float64{0, math.Copysign(0, -1), fmath.Eps, -fmath.Eps, 1e-10, -1e-10, 2e-9, -2e-9}
+	series := make([][]float64, 24)
+	for s := range series {
+		row := make([]float64, 133)
+		for j := range row {
+			if j%2 == 0 {
+				row[j] = tiny[(s+j)%len(tiny)]
+			} else {
+				row[j] = rng.NormFloat64()
+			}
+		}
+		series[s] = row
+	}
+	// Feature 0 never leaves [-Eps, Eps], so its row gets no terms.
+	for _, row := range series {
+		row[0] = tiny[rng.Intn(6)]
+	}
+	g := Matrix(series)
+	sameMatrixBits(t, g, scalarMatrix(series))
+	for j, v := range g[0] {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("G[0][%d] = %v, want +0 for a feature within Eps of zero", j, v)
+		}
+	}
+}
+
+// TestMatrixIntoOverwrites checks MatrixInto ignores what dst held and
+// leaves it zero for an empty series.
+func TestMatrixIntoOverwrites(t *testing.T) {
+	series := [][]float64{{1, 0, 2}, {0, 3, -1}, {4, 1e-12, 5}}
+	dst := [][]float64{{9, 9, 9}, {9, 9, 9}, {9, 9, 9}}
+	MatrixInto(dst, series)
+	sameMatrixBits(t, dst, Matrix(series))
+	MatrixInto(dst, nil)
+	sameMatrixBits(t, dst, [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}})
 }
 
 func TestStyleLossZeroForIdentical(t *testing.T) {

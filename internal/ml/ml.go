@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"evax/internal/vec"
 )
 
 // Activation selects a layer nonlinearity.
@@ -264,64 +266,27 @@ func (l *Layer) setDelta(grad []float64) {
 	}
 }
 
-// accumulate adds the parameter gradients for l.delta, four output rows at
-// a time. Every gradW and gradB cell receives its one addition, exactly as
-// one row at a time would.
+// accumulate adds the parameter gradients for l.delta, one output row per
+// kernel call. Every gradW and gradB cell receives its one addition.
 func (l *Layer) accumulate() {
 	delta, x := l.delta, l.x
 	gW, gb := l.gradW[:len(delta)], l.gradB[:len(delta)]
-	o := 0
-	for ; o+4 <= len(delta); o += 4 {
-		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
-		g0, g1, g2, g3 := gW[o][:len(x)], gW[o+1][:len(x)], gW[o+2][:len(x)], gW[o+3][:len(x)]
-		for i, xi := range x {
-			g0[i] += d0 * xi
-			g1[i] += d1 * xi
-			g2[i] += d2 * xi
-			g3[i] += d3 * xi
-		}
-		gb[o] += d0
-		gb[o+1] += d1
-		gb[o+2] += d2
-		gb[o+3] += d3
-	}
-	for ; o < len(delta); o++ {
-		d := delta[o]
-		gw := gW[o][:len(x)]
-		for i, xi := range x {
-			gw[i] += d * xi
-		}
+	for o, d := range delta {
+		vec.Axpy(gW[o], x, d)
 		gb[o] += d
 	}
 }
 
-// inputGrad writes dL/dInput for l.delta into l.gradIn, four output rows
-// at a time. Every gradIn[i] receives its additions in output order
-// starting from zero, exactly as one row at a time would.
+// inputGrad writes dL/dInput for l.delta into l.gradIn. Every gradIn[i]
+// receives its additions in output order starting from zero.
 //
 //evaxlint:hotpath
 func (l *Layer) inputGrad() {
 	delta, next := l.delta, l.gradIn
 	W := l.W[:len(delta)]
 	clear(next)
-	o := 0
-	for ; o+4 <= len(delta); o += 4 {
-		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
-		w0, w1, w2, w3 := W[o][:len(next)], W[o+1][:len(next)], W[o+2][:len(next)], W[o+3][:len(next)]
-		for i, s := range next {
-			s += d0 * w0[i]
-			s += d1 * w1[i]
-			s += d2 * w2[i]
-			s += d3 * w3[i]
-			next[i] = s
-		}
-	}
-	for ; o < len(delta); o++ {
-		d := delta[o]
-		w := W[o][:len(next)]
-		for i := range next {
-			next[i] += d * w[i]
-		}
+	for o, d := range delta {
+		vec.Axpy(next, W[o], d)
 	}
 }
 
@@ -332,32 +297,16 @@ func sgd(p, v, g, lr, momentum float64) (float64, float64) {
 	return p + v, v
 }
 
-// descend applies one SGD step for l.delta directly, four output rows at a
-// time. Each gradient is formed as Step would find it in a cleared cell,
-// 0 + d*x, so a -0 product still updates the velocity as +0.
+// descend applies one SGD step for l.delta directly, one output row per
+// kernel call. Each gradient is formed as Step would find it in a cleared
+// cell, 0 + d*x, so a -0 product still updates the velocity as +0.
 //
 //evaxlint:hotpath
 func (l *Layer) descend(lr, momentum float64) {
 	delta, x := l.delta, l.x
 	W, vW := l.W[:len(delta)], l.velW[:len(delta)]
-	o := 0
-	for ; o+4 <= len(delta); o += 4 {
-		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
-		w0, w1, w2, w3 := W[o][:len(x)], W[o+1][:len(x)], W[o+2][:len(x)], W[o+3][:len(x)]
-		v0, v1, v2, v3 := vW[o][:len(x)], vW[o+1][:len(x)], vW[o+2][:len(x)], vW[o+3][:len(x)]
-		for i, xi := range x {
-			w0[i], v0[i] = sgd(w0[i], v0[i], 0+d0*xi, lr, momentum)
-			w1[i], v1[i] = sgd(w1[i], v1[i], 0+d1*xi, lr, momentum)
-			w2[i], v2[i] = sgd(w2[i], v2[i], 0+d2*xi, lr, momentum)
-			w3[i], v3[i] = sgd(w3[i], v3[i], 0+d3*xi, lr, momentum)
-		}
-	}
-	for ; o < len(delta); o++ {
-		d := delta[o]
-		w, v := W[o][:len(x)], vW[o][:len(x)]
-		for i, xi := range x {
-			w[i], v[i] = sgd(w[i], v[i], 0+d*xi, lr, momentum)
-		}
+	for o, d := range delta {
+		vec.SGD(W[o], vW[o], x, d, lr, momentum)
 	}
 	l.descendBias(lr, momentum)
 }
@@ -371,33 +320,8 @@ func (l *Layer) descendInputGrad(lr, momentum float64) {
 	delta, x, next := l.delta, l.x, l.gradIn[:len(l.x)]
 	W, vW := l.W[:len(delta)], l.velW[:len(delta)]
 	clear(next)
-	o := 0
-	for ; o+4 <= len(delta); o += 4 {
-		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
-		w0, w1, w2, w3 := W[o][:len(x)], W[o+1][:len(x)], W[o+2][:len(x)], W[o+3][:len(x)]
-		v0, v1, v2, v3 := vW[o][:len(x)], vW[o+1][:len(x)], vW[o+2][:len(x)], vW[o+3][:len(x)]
-		for i, xi := range x {
-			p0, p1, p2, p3 := w0[i], w1[i], w2[i], w3[i]
-			s := next[i]
-			s += d0 * p0
-			s += d1 * p1
-			s += d2 * p2
-			s += d3 * p3
-			next[i] = s
-			w0[i], v0[i] = sgd(p0, v0[i], 0+d0*xi, lr, momentum)
-			w1[i], v1[i] = sgd(p1, v1[i], 0+d1*xi, lr, momentum)
-			w2[i], v2[i] = sgd(p2, v2[i], 0+d2*xi, lr, momentum)
-			w3[i], v3[i] = sgd(p3, v3[i], 0+d3*xi, lr, momentum)
-		}
-	}
-	for ; o < len(delta); o++ {
-		d := delta[o]
-		w, v := W[o][:len(x)], vW[o][:len(x)]
-		for i, xi := range x {
-			p := w[i]
-			next[i] += d * p
-			w[i], v[i] = sgd(p, v[i], 0+d*xi, lr, momentum)
-		}
+	for o, d := range delta {
+		vec.SGDInputGrad(W[o], vW[o], x, next, d, lr, momentum)
 	}
 	l.descendBias(lr, momentum)
 }
