@@ -31,8 +31,9 @@ bench: ## run the microbenchmarks
 bench-sim: ## one pass of the simulator benchmarks (instr/s, B/instr; fails if the attack goes inert)
 	$(GO) test -run '^$$' -bench 'SimulatorThroughput|AttackSimulation' -benchtime 1x .
 
-bench-train: ## one pass of the AM-GAN training benchmark at the lab's shape
+bench-train: ## one pass of the AM-GAN training benchmark at the lab's shape, and of the forward kernel at the generator's layer shapes
 	$(GO) test -run '^$$' -bench 'AMGANTrain' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'MulAddRows' -benchtime 1000x ./internal/vec
 
 bench-json: ## runner speedup + equivalence report (BENCH_runner.json)
 	$(GO) run ./cmd/evaxbench -benchjson BENCH_runner.json -quick

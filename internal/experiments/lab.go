@@ -20,7 +20,7 @@ import (
 )
 
 // LabOptions sizes the shared experimental setup. Scale knobs trade
-// fidelity for runtime; with the defaults, NewLab takes about 1.7 seconds
+// fidelity for runtime; with the defaults, NewLab takes about 1.35 seconds
 // on a two-core Xeon host with AVX2.
 type LabOptions struct {
 	Corpus dataset.CorpusOptions

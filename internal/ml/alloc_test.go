@@ -40,3 +40,17 @@ func TestDescendAllocFree(t *testing.T) {
 		t.Fatalf("Descend allocates %v times per call, want 0", a)
 	}
 }
+
+// TestForwardAllocFree pins Forward at zero allocations. The 20→17→9→1
+// shape puts whole row groups, a four-row group and leftover rows through
+// the forward kernel, which allocNet's narrow layers would not.
+func TestForwardAllocFree(t *testing.T) {
+	n := New(3, []int{20, 17, 9, 1}, LeakyReLU, Sigmoid)
+	x := make([]float64, 20)
+	for i := range x {
+		x[i] = float64(i) / 20
+	}
+	if a := testing.AllocsPerRun(100, func() { n.Forward(x) }); a != 0 {
+		t.Fatalf("Forward allocates %v times per call, want 0", a)
+	}
+}

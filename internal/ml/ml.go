@@ -31,24 +31,31 @@ const (
 	Tanh
 )
 
-func (a Activation) apply(x float64) float64 {
+// applyAll replaces every pre-activation z[o] with a(z[o]): one switch per
+// layer, then a tight loop per activation.
+func (a Activation) applyAll(z []float64) {
 	switch a {
 	case ReLU:
-		if x < 0 {
-			return 0
+		for o, x := range z {
+			if x < 0 {
+				z[o] = 0
+			}
 		}
-		return x
 	case LeakyReLU:
-		if x < 0 {
-			return 0.01 * x
+		for o, x := range z {
+			if x < 0 {
+				z[o] = 0.01 * x
+			}
 		}
-		return x
 	case Sigmoid:
-		return 1 / (1 + math.Exp(-x))
+		for o, x := range z {
+			z[o] = 1 / (1 + math.Exp(-x))
+		}
 	case Tanh:
-		return math.Tanh(x)
+		for o, x := range z {
+			z[o] = math.Tanh(x)
+		}
 	}
-	return x
 }
 
 // deriv computes the activation derivative given the *output* value y.
@@ -122,12 +129,24 @@ func New(seed int64, sizes []int, hidden, out Activation) *Network {
 	return n
 }
 
+// newLayer allocates a layer and draws its weights from rng, row by row.
 func newLayer(rng *rand.Rand, in, out int, act Activation) *Layer {
-	l := &Layer{In: in, Out: out, Act: act}
+	l := allocLayer(in, out, act)
 	scale := math.Sqrt(2 / float64(in))
 	if act == Sigmoid || act == Tanh || act == Linear {
 		scale = math.Sqrt(1 / float64(in))
 	}
+	for _, w := range l.W {
+		for i := range w {
+			w[i] = rng.NormFloat64() * scale
+		}
+	}
+	return l
+}
+
+// allocLayer allocates a layer with zero weights, biases and buffers.
+func allocLayer(in, out int, act Activation) *Layer {
+	l := &Layer{In: in, Out: out, Act: act}
 	l.W = make([][]float64, out)
 	l.gradW = make([][]float64, out)
 	l.velW = make([][]float64, out)
@@ -135,9 +154,6 @@ func newLayer(rng *rand.Rand, in, out int, act Activation) *Layer {
 		l.W[o] = make([]float64, in)
 		l.gradW[o] = make([]float64, in)
 		l.velW[o] = make([]float64, in)
-		for i := 0; i < in; i++ {
-			l.W[o][i] = rng.NormFloat64() * scale
-		}
 	}
 	l.B = make([]float64, out)
 	l.gradB = make([]float64, out)
@@ -157,6 +173,8 @@ func (n *Network) OutputSize() int { return n.Layers[len(n.Layers)-1].Out }
 
 // Forward runs one sample through the network, returning the output slice
 // (owned by the network; copy if retaining).
+//
+//evaxlint:hotpath
 func (n *Network) Forward(x []float64) []float64 {
 	for _, l := range n.Layers {
 		copy(l.x, x)
@@ -166,31 +184,17 @@ func (n *Network) Forward(x []float64) []float64 {
 	return x
 }
 
-// forward computes l.y from x, four output rows at a time. Each output's
-// sum still accumulates bias first, then inputs in order, exactly as one
-// row at a time would; the four independent add chains just overlap.
+// forward computes l.y from x: the biases, one vec.MulAddRows call for
+// the weights, then the activation. Each output's sum accumulates bias
+// first, then inputs in order, exactly as one row at a time would; the
+// kernel only runs several outputs' chains side by side (DESIGN.md §7).
+//
+//evaxlint:hotpath
 func (l *Layer) forward(x []float64) {
-	W, b, y := l.W, l.B[:len(l.W)], l.y[:len(l.W)]
-	o := 0
-	for ; o+4 <= len(W); o += 4 {
-		w0, w1, w2, w3 := W[o][:len(x)], W[o+1][:len(x)], W[o+2][:len(x)], W[o+3][:len(x)]
-		z0, z1, z2, z3 := b[o], b[o+1], b[o+2], b[o+3]
-		for i, xi := range x {
-			z0 += w0[i] * xi
-			z1 += w1[i] * xi
-			z2 += w2[i] * xi
-			z3 += w3[i] * xi
-		}
-		y[o], y[o+1], y[o+2], y[o+3] = l.Act.apply(z0), l.Act.apply(z1), l.Act.apply(z2), l.Act.apply(z3)
-	}
-	for ; o < len(W); o++ {
-		w := W[o][:len(x)]
-		z := b[o]
-		for i, xi := range x {
-			z += w[i] * xi
-		}
-		y[o] = l.Act.apply(z)
-	}
+	y := l.y[:len(l.W)]
+	copy(y, l.B)
+	vec.MulAddRows(y, l.W, x)
+	l.Act.applyAll(y)
 }
 
 // Backward backpropagates dL/dOutput for the most recent Forward sample,
@@ -335,29 +339,20 @@ func (l *Layer) descendBias(lr, momentum float64) {
 	}
 }
 
-// Step applies accumulated gradients with SGD + momentum and clears them.
-// batch is the number of samples accumulated since the last Step.
+// Step applies accumulated gradients with SGD + momentum and clears them,
+// one vec.Step call per weight row and one for the biases. batch is the
+// number of samples accumulated since the last Step.
 func (n *Network) Step(lr, momentum float64, batch int) {
 	if batch < 1 {
 		batch = 1
 	}
 	inv := 1 / float64(batch)
 	for _, l := range n.Layers {
-		b, gb, vb := l.B, l.gradB[:len(l.B)], l.velB[:len(l.B)]
+		gW, vW := l.gradW[:len(l.W)], l.velW[:len(l.W)]
 		for o, w := range l.W {
-			gw := l.gradW[o][:len(w)]
-			vw := l.velW[o][:len(w)]
-			for i := range w {
-				v := momentum*vw[i] - lr*gw[i]*inv
-				vw[i] = v
-				w[i] += v
-				gw[i] = 0
-			}
-			v := momentum*vb[o] - lr*gb[o]*inv
-			vb[o] = v
-			b[o] += v
-			gb[o] = 0
+			vec.Step(w, vW[o], gW[o], lr, momentum, inv)
 		}
+		vec.Step(l.B, l.velB, l.gradB, lr, momentum, inv)
 	}
 	n.pending = false
 }
@@ -383,7 +378,7 @@ func (n *Network) ProjectNonNegative() {
 func (n *Network) Clone() *Network {
 	c := &Network{}
 	for _, l := range n.Layers {
-		nl := newLayer(rand.New(rand.NewSource(0)), l.In, l.Out, l.Act)
+		nl := allocLayer(l.In, l.Out, l.Act)
 		for o := range l.W {
 			copy(nl.W[o], l.W[o])
 		}

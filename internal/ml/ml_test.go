@@ -212,18 +212,23 @@ func TestMSEZeroAtTarget(t *testing.T) {
 }
 
 func TestActivationRanges(t *testing.T) {
+	apply := func(a Activation, x float64) float64 {
+		z := []float64{x}
+		a.applyAll(z)
+		return z[0]
+	}
 	for _, x := range []float64{-5, -0.5, 0, 0.5, 5} {
-		if y := Sigmoid.apply(x); y <= 0 || y >= 1 {
+		if y := apply(Sigmoid, x); y <= 0 || y >= 1 {
 			t.Errorf("sigmoid(%v) = %v", x, y)
 		}
-		if y := Tanh.apply(x); y <= -1 || y >= 1 {
+		if y := apply(Tanh, x); y <= -1 || y >= 1 {
 			t.Errorf("tanh(%v) = %v", x, y)
 		}
-		if y := ReLU.apply(x); y < 0 {
+		if y := apply(ReLU, x); y < 0 {
 			t.Errorf("relu(%v) = %v", x, y)
 		}
-		if x < 0 && LeakyReLU.apply(x) >= 0 {
-			t.Errorf("leakyrelu(%v) = %v", x, LeakyReLU.apply(x))
+		if x < 0 && apply(LeakyReLU, x) >= 0 {
+			t.Errorf("leakyrelu(%v) = %v", x, apply(LeakyReLU, x))
 		}
 	}
 }

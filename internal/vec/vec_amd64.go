@@ -47,6 +47,41 @@ func sgdInputGrad(w, v, x, gradIn []float64, d, lr, m float64) {
 	sgdInputGradGo(w, v, x, gradIn, d, lr, m)
 }
 
+func step(w, v, g []float64, lr, m, inv float64) {
+	if useAVX2 {
+		stepAVX2(w, v, g, lr, m, inv)
+		return
+	}
+	stepGo(w, v, g, lr, m, inv)
+}
+
+func mulAddRows(z []float64, W [][]float64, x []float64) {
+	if useAVX2 {
+		mulAddRowsVec(z, W, x)
+		return
+	}
+	mulAddRowsGo(z, W, x)
+}
+
+// mulAddRowsVec is MulAddRows on the AVX2 path. The assembly takes the
+// rows in groups of eight, then one of four, over the even-length prefix
+// of x, two inputs per step; Go then adds an odd last input to those rows
+// and runs the leftover rows (len(z) mod 4, all of a layer narrower than
+// four) on their own. Every output's chain stays in input order.
+func mulAddRowsVec(z []float64, W [][]float64, x []float64) {
+	g, n := len(z)&^3, len(x)&^1
+	if g > 0 && n > 0 {
+		mulAddRowsAVX2(z[:g], W[:g], x[:n])
+	}
+	if n < len(x) {
+		xn := x[n]
+		for o, w := range W[:g] {
+			z[o] += float64(w[n] * xn)
+		}
+	}
+	mulAddRowsGo(z[g:], W[g:], x)
+}
+
 // The AVX2 kernels read len(dst) or len(w) elements of every slice; the
 // exported wrappers guarantee the other slices are at least that long.
 
@@ -58,6 +93,16 @@ func sgdAVX2(w, v, x []float64, d, lr, m float64)
 
 //go:noescape
 func sgdInputGradAVX2(w, v, x, gradIn []float64, d, lr, m float64)
+
+//go:noescape
+func stepAVX2(w, v, g []float64, lr, m, inv float64)
+
+// mulAddRowsAVX2 needs len(z) a positive multiple of 4, len(x) positive
+// and even, and at least len(x) weights in each of the first
+// len(z) rows of W.
+//
+//go:noescape
+func mulAddRowsAVX2(z []float64, W [][]float64, x []float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

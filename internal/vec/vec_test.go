@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -77,6 +78,43 @@ func TestKernelsMatchScalar(t *testing.T) {
 			}
 			sameBits(t, "SGD w", w, w2)
 			sameBits(t, "SGD v", v, v2)
+
+			const inv = 1.0 / 3
+			g := fill(rng, n)
+			for i := 0; i < n; i++ {
+				v2[i] = float64(m*v2[i]) - float64(float64(lr*g[i])*inv)
+				w2[i] += v2[i]
+			}
+			Step(w, v, g, lr, m, inv)
+			sameBits(t, "Step w", w, w2)
+			sameBits(t, "Step v", v, v2)
+			sameBits(t, "Step g", g, make([]float64, n))
+		}
+	}
+}
+
+// TestMulAddRowsMatchesScalar checks the MulAddRows path selected on this
+// CPU, and the Go loop, against each output's dot product written out one
+// row at a time, bit for bit, for 0–17 rows and odd and even inputs.
+func TestMulAddRowsMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for rows := 0; rows <= 17; rows++ {
+		for _, n := range []int{0, 1, 2, 7, 8, 9, 48, 133, 155} {
+			W := make([][]float64, rows)
+			for o := range W {
+				W[o] = fill(rng, n)
+			}
+			x, z := fill(rng, n), fill(rng, rows)
+			want, zGo := clone(z), clone(z)
+			for o := range want {
+				for i := 0; i < n; i++ {
+					want[o] += float64(W[o][i] * x[i])
+				}
+			}
+			MulAddRows(z, W, x)
+			mulAddRowsGo(zGo, W, x)
+			sameBits(t, fmt.Sprintf("%d rows × %d inputs: z", rows, n), z, want)
+			sameBits(t, fmt.Sprintf("%d rows × %d inputs: Go loop z", rows, n), zGo, want)
 		}
 	}
 }
@@ -89,6 +127,14 @@ func TestShortInputPanics(t *testing.T) {
 		"SGD":  func() { SGD(make([]float64, 5), make([]float64, 5), make([]float64, 4), 1, 1, 1) },
 		"SGDInputGrad": func() {
 			SGDInputGrad(make([]float64, 5), make([]float64, 5), make([]float64, 5), make([]float64, 4), 1, 1, 1)
+		},
+		"Step": func() { Step(make([]float64, 5), make([]float64, 5), make([]float64, 4), 1, 1, 1) },
+		"MulAddRows few rows": func() {
+			MulAddRows(make([]float64, 5), [][]float64{make([]float64, 4)}, make([]float64, 4))
+		},
+		"MulAddRows short row": func() {
+			W := [][]float64{make([]float64, 6), make([]float64, 6), make([]float64, 5), make([]float64, 6)}
+			MulAddRows(make([]float64, 4), W, make([]float64, 6))
 		},
 	} {
 		func() {
@@ -118,6 +164,16 @@ func TestKernelsAllocFree(t *testing.T) {
 		"SGDInputGrad": func() {
 			var w, v, x, in [9]float64
 			SGDInputGrad(w[:], v[:], x[:], in[:], 0.5, 0.01, 0.5)
+		},
+		"Step": func() {
+			var w, v, g [9]float64
+			Step(w[:], v[:], g[:], 0.01, 0.5, 0.25)
+		},
+		"MulAddRows": func() {
+			var z [9]float64
+			var x, w0, w1, w2, w3, w4, w5, w6, w7, w8 [9]float64
+			W := [][]float64{w0[:], w1[:], w2[:], w3[:], w4[:], w5[:], w6[:], w7[:], w8[:]}
+			MulAddRows(z[:], W, x[:])
 		},
 	} {
 		if a := testing.AllocsPerRun(100, f); a != 0 {
