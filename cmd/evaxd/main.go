@@ -40,16 +40,17 @@ import (
 )
 
 func main() {
+	def := serve.DefaultConfig()
 	var (
 		bundle    = flag.String("bundle", "", "detection bundle (detector + normalizer) from evaxtrain -bundle")
 		addr      = flag.String("addr", "127.0.0.1:9317", "framing-protocol listen address")
 		httpAddr  = flag.String("http", "", "HTTP fallback listen address (/metrics, /score, /healthz, /debug/pprof); empty disables")
-		batch     = flag.Int("batch", 32, "max samples per scoring micro-batch")
-		linger    = flag.Duration("linger", 2*time.Millisecond, "max wait for a batch to fill after its first sample")
-		queue     = flag.Int("queue", 1024, "per-shard ingest queue bound; samples beyond it are rejected, not buffered")
-		shards    = flag.Int("shards", 1, "scoring lanes (connections are pinned round-robin)")
+		batch     = flag.Int("batch", def.MaxBatch, "max samples per scoring micro-batch")
+		linger    = flag.Duration("linger", def.Linger, "longest wait for a batch to fill; a shard waits only when its arrival rate would fill the batch within it (0 never waits)")
+		queue     = flag.Int("queue", def.QueueBound, "per-shard ingest queue bound; samples beyond it are rejected, not buffered")
+		shards    = flag.Int("shards", def.Shards, "scoring lanes (connections are pinned round-robin)")
 		shardID   = flag.Int("shard-id", 0, "fleet shard ID stamped on metrics snapshots and per-conn stats frames (0 for standalone)")
-		window    = flag.Uint64("window", 1_000_000, "post-flag secure window in committed instructions")
+		window    = flag.Uint64("window", def.SecureWindow, "post-flag secure window in committed instructions")
 		statsPath = flag.String("stats", "", "write the final metrics snapshot here on drain (crash-safe)")
 		replay    = flag.String("replay", "", "replay a recorded corpus (dataset corpus file) instead of serving")
 		seed      = flag.Int64("seed", 1, "replay scoring-order seed; the verdict digest is identical for every seed")
@@ -61,9 +62,9 @@ func main() {
 		canary    = flag.String("canary", "", "golden replay corpus candidates are canary-scored against before going live")
 		agreement = flag.Float64("agreement", engine.DefaultAgreementGate, "minimum canary verdict agreement a candidate must reach against the active generation")
 
-		idle       = flag.Duration("idle", serve.DefaultConfig().IdleTimeout, "idle read deadline per frame; a conn silent this long is reaped (0 disables)")
-		sessWindow = flag.Int("session-window", serve.DefaultConfig().SessionWindow, "per-session dedup ring size: how many in-flight sequences reconnect replay can span")
-		sessIdle   = flag.Duration("session-idle", serve.DefaultConfig().SessionIdle, "how long a detached session awaits resume before being reaped")
+		idle       = flag.Duration("idle", def.IdleTimeout, "idle read deadline per frame; a conn silent this long is reaped (0 disables)")
+		sessWindow = flag.Int("session-window", def.SessionWindow, "per-session dedup ring size: how many in-flight sequences reconnect replay can span")
+		sessIdle   = flag.Duration("session-idle", def.SessionIdle, "how long a detached session awaits resume before being reaped")
 	)
 	flag.Parse()
 
@@ -138,7 +139,7 @@ func main() {
 		return
 	}
 
-	cfg := serve.DefaultConfig()
+	cfg := def
 	cfg.Addr = *addr
 	cfg.HTTPAddr = *httpAddr
 	cfg.MaxBatch = *batch

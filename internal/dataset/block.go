@@ -1,6 +1,9 @@
 package dataset
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SampleBlock stores a corpus's numeric payload in two contiguous backing
 // arrays — one for raw counter rows, one for derived rows — with every
@@ -30,6 +33,20 @@ func (b *SampleBlock) RawDim() int { return b.rawDim }
 
 // DerivedDim returns the derived row width.
 func (b *SampleBlock) DerivedDim() int { return b.derDim }
+
+// Grow makes room for n more rows, so the next n Extends move no backing
+// array. Use it when the row count is known or bounded up front.
+func (b *SampleBlock) Grow(n int) {
+	b.raw = slices.Grow(b.raw, n*b.rawDim)
+	b.derived = slices.Grow(b.derived, n*b.derDim)
+}
+
+// Reset empties the block and keeps its backing arrays for reuse.
+func (b *SampleBlock) Reset() {
+	b.rows = 0
+	b.raw = b.raw[:0]
+	b.derived = b.derived[:0]
+}
 
 // Extend appends one zeroed row to both backing arrays and returns its
 // index. Growth may move the backing arrays, so views from RawRow and

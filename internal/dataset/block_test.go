@@ -34,6 +34,32 @@ func TestSampleBlockRows(t *testing.T) {
 	}
 }
 
+func TestSampleBlockGrowReserves(t *testing.T) {
+	b := NewSampleBlock(3, 5)
+	b.Extend()
+	b.RawRow(0)[2] = 7
+	b.Grow(4)
+	raw0, der0 := &b.RawRow(0)[0], &b.DerivedRow(0)[0]
+	for i := 0; i < 4; i++ {
+		b.Extend()
+	}
+	if &b.RawRow(0)[0] != raw0 || &b.DerivedRow(0)[0] != der0 {
+		t.Fatal("Extend moved a backing array after Grow reserved the rows")
+	}
+	if b.Len() != 5 || b.RawRow(0)[2] != 7 || b.RawRow(4)[2] != 0 {
+		t.Fatalf("rows after Grow: len %d, row 0 %v, row 4 %v", b.Len(), b.RawRow(0), b.RawRow(4))
+	}
+	// Reset keeps the reserve: the refilled block stays in place and its
+	// rows come back zeroed.
+	b.Reset()
+	for i := 0; i < 5; i++ {
+		b.Extend()
+	}
+	if &b.RawRow(0)[0] != raw0 || b.Len() != 5 || b.RawRow(0)[2] != 0 {
+		t.Fatalf("after Reset: moved %v, len %d, row 0 %v", &b.RawRow(0)[0] != raw0, b.Len(), b.RawRow(0))
+	}
+}
+
 func TestSampleBlockRowViewsCapClamped(t *testing.T) {
 	// Appending through a row view must copy, never clobber the next row.
 	b := NewSampleBlock(2, 2)

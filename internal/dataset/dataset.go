@@ -8,6 +8,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"evax/internal/hpc"
 	"evax/internal/isa"
@@ -45,6 +46,29 @@ func (s *Sample) TransmitOnly() bool {
 	return active != 0 && active&^tx == 0
 }
 
+// collectReserveRows caps the rows a Collect staging block reserves up
+// front; a longer run grows its block as it goes.
+const collectReserveRows = 1 << 12
+
+// collectStages recycles Collect's staging blocks. A run fills a block that
+// already has room for every row it can produce, then copies the rows out
+// into an exact-size block, so neither per-row regrowth nor an unused
+// reserve reaches the corpus. Rows are fully written before use, so reuse
+// never changes a value.
+var collectStages sync.Pool
+
+// stageBlock returns an empty staging block of the given dimensions with
+// room for at least rows rows.
+func stageBlock(rawDim, derDim, rows int) *SampleBlock {
+	b, _ := collectStages.Get().(*SampleBlock)
+	if b == nil || b.rawDim != rawDim || b.derDim != derDim {
+		b = NewSampleBlock(rawDim, derDim)
+	}
+	b.Reset()
+	b.Grow(rows)
+	return b
+}
+
 // Collect runs prog to completion (or maxInstr) on a fresh machine with the
 // given config, sampling every interval instructions. Vectors are raw
 // deltas; normalization happens corpus-wide afterwards.
@@ -55,9 +79,15 @@ func Collect(cfg sim.Config, prog *isa.Program, interval, maxInstr uint64) []Sam
 	exp := hpc.NewExpander(cat.Len())
 	sampler.Take() // baseline
 	prevPhases := m.PhaseDispatched()
-	block := NewSampleBlock(cat.Len(), exp.Dim())
+	// Every window spans at least interval instructions and the run stops
+	// near maxInstr, so at most about maxInstr/interval + 1 rows come out.
+	rows := collectReserveRows
+	if interval > 0 {
+		rows = int(min(maxInstr/interval, collectReserveRows-1) + 1)
+	}
+	block := stageBlock(cat.Len(), exp.Dim(), rows)
 	scratch := make([]float64, cat.Len())
-	var out []Sample
+	out := make([]Sample, 0, rows)
 	take := func() {
 		sm, ok := sampler.TakeInto(scratch)
 		if !ok || sm.Instructions == 0 {
@@ -90,9 +120,11 @@ func Collect(cfg sim.Config, prog *isa.Program, interval, maxInstr uint64) []Sam
 		}
 	}
 	take()
-	// Bind after the final Extend: block growth may have moved the
-	// backing arrays, so row views are only taken now.
+	// Bind after the final Extend (growth past the reserve may have moved
+	// the backing arrays), then copy the rows out of the staging block.
 	block.Bind(out)
+	Repack(out)
+	collectStages.Put(block)
 	return out
 }
 

@@ -107,6 +107,7 @@ func UnmarshalCorpus(data []byte) ([]Sample, error) {
 			len(rest), rows, rawDim, need)
 	}
 	block := NewSampleBlock(rawDim, 0)
+	block.Grow(rows)
 	samples := make([]Sample, rows)
 	for i := 0; i < rows; i++ {
 		label := rest[0]

@@ -52,14 +52,66 @@ type shard struct {
 	instrBuf []uint64
 	cycBuf   []uint64
 	scoreBuf []float64
+
+	// Batcher-goroutine state for the linger decision. gap is the running
+	// estimate of the time between arrivals, folded from the enq stamps by
+	// nextGap; last is the latest stamp seen. timer is the shard's one
+	// linger timer, kept stopped with its channel drained between batches.
+	gap   time.Duration
+	last  time.Time
+	timer *time.Timer
 }
 
-// run is the batcher loop: collect up to MaxBatch requests or until Linger
-// expires after the first, then flush the batch through the zero-alloc score
-// path. Control messages flush immediately.
+// gapWeightShift sets the arrival-gap EWMA's weight to 1/8.
+const gapWeightShift = 3
+
+// nextGap folds one arrival stamped enq into the inter-arrival estimate gap
+// and returns the new estimate and latest stamp. The observed gap enq − last
+// is clamped to [0, linger]: two connections can enqueue stamps out of order
+// (a negative gap), and an idle spell longer than linger says no more about
+// whether a batch would fill within linger than linger itself does. last only
+// moves forward, so a late stamp is not counted twice.
+func nextGap(gap time.Duration, last, enq time.Time, linger time.Duration) (time.Duration, time.Time) {
+	obs := enq.Sub(last)
+	if obs > 0 {
+		last = enq
+	}
+	obs = min(max(obs, 0), max(linger, 0))
+	return gap + (obs-gap)>>gapWeightShift, last
+}
+
+// shouldLinger reports whether a shard holding n samples waits (at most
+// linger) for more: only when the batch has room and, at the estimated
+// arrival gap, its free slots would fill within linger —
+// (maxBatch − n) × gap ≤ linger, computed without overflow. A shard whose
+// arrivals are slower flushes at once: waiting would add up to linger to
+// every verdict and still not fill the batch. linger ≤ 0 never waits.
+func shouldLinger(n, maxBatch int, gap, linger time.Duration) bool {
+	if linger <= 0 || n >= maxBatch {
+		return false
+	}
+	return gap <= linger/time.Duration(maxBatch-n)
+}
+
+// stopTimer stops t and drains a tick that fired before the stop, so the
+// next Reset starts clean (the pre-Go 1.23 timer rules, which go.mod's
+// language version selects; the drain is a no-op under the newer ones).
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		<-t.C
+	}
+}
+
+// run is the batcher loop: take a sample, top the batch up (collect), then
+// flush it through the zero-alloc score path. Control messages flush
+// immediately.
 func (sh *shard) run() {
 	defer sh.srv.shardWg.Done()
 	cfg := sh.srv.cfg
+	// An idle or new shard counts as slow: its first sample scores at once.
+	sh.gap = cfg.Linger
+	sh.timer = time.NewTimer(time.Hour)
+	stopTimer(sh.timer)
 	batch := make([]request, 0, cfg.MaxBatch)
 	lats := make([]time.Duration, 0, cfg.MaxBatch)
 	for {
@@ -73,56 +125,71 @@ func (sh *shard) run() {
 			close(r.flush)
 			continue
 		}
-		batch = append(batch, r)
-		if !sh.collect(&batch, &lats) {
-			sh.flush(&batch, &lats)
+		sh.add(&batch, r)
+		open := sh.collect(&batch, &lats)
+		sh.flush(&batch, &lats)
+		if !open {
 			return
 		}
-		sh.flush(&batch, &lats)
 	}
 }
 
-// collect tops the batch up to MaxBatch, waiting at most Linger after the
-// first sample. Returns false when the ingest channel closed.
+// add appends r to the batch (within the capacity run sized it to) and
+// folds its arrival into the gap estimate.
+func (sh *shard) add(batch *[]request, r request) {
+	n := len(*batch)
+	*batch = (*batch)[:n+1]
+	(*batch)[n] = r
+	sh.gap, sh.last = nextGap(sh.gap, sh.last, r.enq, sh.srv.cfg.Linger)
+}
+
+// collect tops the batch up: it drains whatever is already queued without
+// blocking, then waits — at most Linger, on the shard's one timer — for the
+// batch to fill only if shouldLinger says the arrival rate would fill it
+// within Linger. A flush barrier flushes the batch and ends the collection.
+// Returns false when the ingest channel closed.
+//
+//evaxlint:hotpath
 func (sh *shard) collect(batch *[]request, lats *[]time.Duration) bool {
-	cfg := sh.srv.cfg
-	if cfg.Linger <= 0 {
-		// No linger: absorb whatever is already queued, never wait.
-		for len(*batch) < cfg.MaxBatch {
+	cfg := &sh.srv.cfg
+	waiting := false
+	for len(*batch) < cfg.MaxBatch {
+		var r request
+		var ok bool
+		if waiting {
 			select {
-			case r, ok := <-sh.ch:
-				if !ok {
-					return false
-				}
-				if r.flush != nil {
-					sh.flush(batch, lats)
-					close(r.flush)
-					continue
-				}
-				*batch = append(*batch, r)
-			default:
+			case r, ok = <-sh.ch:
+			case <-sh.timer.C:
 				return true
 			}
+		} else {
+			select {
+			case r, ok = <-sh.ch:
+			default:
+				if !shouldLinger(len(*batch), cfg.MaxBatch, sh.gap, cfg.Linger) {
+					return true
+				}
+				sh.srv.met.lingered.Add(1)
+				sh.timer.Reset(cfg.Linger)
+				waiting = true
+				continue
+			}
 		}
-		return true
-	}
-	timer := time.NewTimer(cfg.Linger)
-	defer timer.Stop()
-	for len(*batch) < cfg.MaxBatch {
-		select {
-		case r, ok := <-sh.ch:
+		if !ok || r.flush != nil {
+			if waiting {
+				stopTimer(sh.timer)
+			}
 			if !ok {
 				return false
 			}
-			if r.flush != nil {
-				sh.flush(batch, lats)
-				close(r.flush)
-				continue
-			}
-			*batch = append(*batch, r)
-		case <-timer.C:
+			sh.flush(batch, lats)
+			close(r.flush)
 			return true
 		}
+		sh.add(batch, r)
+	}
+	if waiting {
+		stopTimer(sh.timer)
 	}
 	return true
 }

@@ -301,46 +301,3 @@ func TestClientBreakerAndGiveUp(t *testing.T) {
 		t.Fatalf("phantom progress: %+v", st)
 	}
 }
-
-// TestClientHeartbeatKeepsIdleConnAlive: a client waiting on a slow verdict
-// pings through the server's idle window instead of being reaped; the
-// verdict still arrives on the original connection.
-func TestClientHeartbeatKeepsIdleConnAlive(t *testing.T) {
-	testleak.Check(t)
-	_, _, samples := lab(t)
-	cfg := chaosServerConfig()
-	cfg.IdleTimeout = 200 * time.Millisecond
-	// A long linger holds the verdict back so the client sits idle-waiting
-	// well past the server's idle window and must heartbeat to survive.
-	cfg.Linger = 600 * time.Millisecond
-	cfg.MaxBatch = 64
-	srv := startServer(t, cfg)
-
-	o := chaosClientOptions()
-	o.Addr = srv.Addr()
-	o.RawDim = len(samples[0].Raw)
-	o.Name = "heartbeat"
-	o.Heartbeat = 50 * time.Millisecond
-	o.RequestTimeout = 5 * time.Second
-	cl := New(o)
-	s := &samples[0]
-	if err := cl.Submit(s.Instructions, s.Cycles, s.Raw); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cl.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Verdicts) != 1 {
-		t.Fatalf("%d verdicts, want 1", len(rep.Verdicts))
-	}
-	if rep.Stats.Pings == 0 {
-		t.Fatal("client never heartbeated through the linger wait")
-	}
-	if rep.Stats.Reconnects != 0 {
-		t.Fatalf("%d reconnects: the heartbeat failed to keep the conn alive", rep.Stats.Reconnects)
-	}
-	if got := srv.Metrics().Snapshot().IdleReaped; got != 0 {
-		t.Fatalf("idle reaper fired %d times on a heartbeating client", got)
-	}
-}

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -571,11 +572,24 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	var snap Snapshot
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"batches", "batches_lingered", "batch_occupancy"} {
+		if _, ok := fields[key]; !ok {
+			t.Fatalf("/metrics lacks %q", key)
+		}
+	}
 	if snap.Scored == 0 {
 		t.Fatal("metrics report zero scored after a /score call")
 	}

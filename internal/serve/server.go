@@ -50,9 +50,11 @@ type Config struct {
 	HTTPAddr string
 	// MaxBatch caps a scoring micro-batch.
 	MaxBatch int
-	// Linger is how long a shard waits after the first queued sample for the
-	// batch to fill before flushing anyway. <= 0 flushes whatever is queued
-	// without waiting.
+	// Linger is the longest a shard waits for its batch to fill. After
+	// taking what is already queued, a shard waits only if its arrival rate
+	// (an estimate kept from the samples' enqueue times) would fill the
+	// batch within Linger; otherwise it flushes at once, so a sample at low
+	// load is scored without waiting. <= 0 never waits.
 	Linger time.Duration
 	// QueueBound caps each shard's ingest queue — the admission-control
 	// bound. Samples arriving with the queue full are rejected with
@@ -100,8 +102,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the serving defaults: loopback listener on an
-// ephemeral port, 32-sample batches with a 2ms linger, and a 1024-deep
-// admission queue per shard.
+// ephemeral port, 32-sample batches that wait at most 2ms to fill (and only
+// when arrivals would fill them in that time), and a 1024-deep admission
+// queue per shard.
 func DefaultConfig() Config {
 	return Config{
 		Addr:          "127.0.0.1:0",
