@@ -38,8 +38,13 @@ bench-train: ## one pass of the AM-GAN training benchmark at the lab's shape, an
 bench-json: ## runner speedup + equivalence report (BENCH_runner.json)
 	$(GO) run ./cmd/evaxbench -benchjson BENCH_runner.json -quick
 
-fuzz: ## frame-decoder fuzz smoke (10 s)
-	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/serve
+fuzz: ## 5 s mutation pass over every fuzz target in the module
+	@set -e; $(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$dir"/*_test.go 2>/dev/null); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s "$$pkg"; \
+		done; \
+	done
 
 fmt: ## rewrite sources with gofmt
 	gofmt -w .

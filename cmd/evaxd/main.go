@@ -27,8 +27,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -40,44 +42,61 @@ import (
 )
 
 func main() {
-	def := serve.DefaultConfig()
-	var (
-		bundle    = flag.String("bundle", "", "detection bundle (detector + normalizer) from evaxtrain -bundle")
-		addr      = flag.String("addr", "127.0.0.1:9317", "framing-protocol listen address")
-		httpAddr  = flag.String("http", "", "HTTP fallback listen address (/metrics, /score, /healthz, /debug/pprof); empty disables")
-		batch     = flag.Int("batch", def.MaxBatch, "max samples per scoring micro-batch")
-		linger    = flag.Duration("linger", def.Linger, "longest wait for a batch to fill; a shard waits only when its arrival rate would fill the batch within it (0 never waits)")
-		queue     = flag.Int("queue", def.QueueBound, "per-shard ingest queue bound; samples beyond it are rejected, not buffered")
-		shards    = flag.Int("shards", def.Shards, "scoring lanes (connections are pinned round-robin)")
-		shardID   = flag.Int("shard-id", 0, "fleet shard ID stamped on metrics snapshots and per-conn stats frames (0 for standalone)")
-		window    = flag.Uint64("window", def.SecureWindow, "post-flag secure window in committed instructions")
-		statsPath = flag.String("stats", "", "write the final metrics snapshot here on drain (crash-safe)")
-		replay    = flag.String("replay", "", "replay a recorded corpus (dataset corpus file) instead of serving")
-		seed      = flag.Int64("seed", 1, "replay scoring-order seed; the verdict digest is identical for every seed")
-		jobs      = flag.Int("jobs", 0, "replay worker count (0 = GOMAXPROCS)")
-		backend   = flag.String("backend", serve.BackendFloat, "scoring kernel: \"float\" (bit-identical to offline scoring) or \"quantized\" (int8 fixed-point, fastest)")
-		watch     = flag.String("watch", "", "rescan this directory for candidate bundles and hot-swap validated ones (live vaccination)")
-		watchTick = flag.Duration("watch-every", 2*time.Second, "candidate rescan interval for -watch")
-		stateDir  = flag.String("state", "", "generation state directory: crash-safe staging of the active/fallback bundle pair")
-		canary    = flag.String("canary", "", "golden replay corpus candidates are canary-scored against before going live")
-		agreement = flag.Float64("agreement", engine.DefaultAgreementGate, "minimum canary verdict agreement a candidate must reach against the active generation")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		idle       = flag.Duration("idle", def.IdleTimeout, "idle read deadline per frame; a conn silent this long is reaped (0 disables)")
-		sessWindow = flag.Int("session-window", def.SessionWindow, "per-session dedup ring size: how many in-flight sequences reconnect replay can span")
-		sessIdle   = flag.Duration("session-idle", def.SessionIdle, "how long a detached session awaits resume before being reaped")
+// run is main with its arguments and output streams injected, so the flag
+// and exit-code contract is testable: 0 after -h or a clean drain or replay,
+// 2 for a flag that does not parse, 1 for any other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	def := serve.DefaultConfig()
+	fs := flag.NewFlagSet("evaxd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		bundle    = fs.String("bundle", "", "detection bundle (detector + normalizer) from evaxtrain -bundle")
+		addr      = fs.String("addr", "127.0.0.1:9317", "framing-protocol listen address")
+		httpAddr  = fs.String("http", "", "HTTP fallback listen address (/metrics, /score, /healthz, /debug/pprof); empty disables")
+		batch     = fs.Int("batch", def.MaxBatch, "max samples per scoring micro-batch")
+		queue     = fs.Int("queue", def.QueueBound, "per-shard ingest queue bound; samples beyond it are rejected, not buffered")
+		shards    = fs.Int("shards", def.Shards, "scoring lanes (connections are pinned round-robin)")
+		shardID   = fs.Int("shard-id", 0, "fleet shard ID stamped on metrics snapshots and per-conn stats frames (0 for standalone)")
+		window    = fs.Uint64("window", def.SecureWindow, "post-flag secure window in committed instructions")
+		statsPath = fs.String("stats", "", "write the final metrics snapshot here on drain (crash-safe)")
+		replay    = fs.String("replay", "", "replay a recorded corpus (dataset corpus file) instead of serving")
+		seed      = fs.Int64("seed", 1, "replay scoring-order seed; the verdict digest is identical for every seed")
+		jobs      = fs.Int("jobs", 0, "replay worker count (0 = GOMAXPROCS)")
+		backend   = fs.String("backend", serve.BackendFloat, "scoring kernel: \"float\" (bit-identical to offline scoring) or \"quantized\" (int8 fixed-point, fastest)")
+		watch     = fs.String("watch", "", "rescan this directory for candidate bundles and hot-swap validated ones (live vaccination)")
+		watchTick = fs.Duration("watch-every", 2*time.Second, "candidate rescan interval for -watch")
+		stateDir  = fs.String("state", "", "generation state directory: crash-safe staging of the active/fallback bundle pair")
+		canary    = fs.String("canary", "", "golden replay corpus candidates are canary-scored against before going live")
+		agreement = fs.Float64("agreement", engine.DefaultAgreementGate, "minimum canary verdict agreement a candidate must reach against the active generation")
+
+		idle       = fs.Duration("idle", def.IdleTimeout, "idle read deadline per frame; a conn silent this long is reaped (0 disables)")
+		sessWindow = fs.Int("session-window", def.SessionWindow, "per-session dedup ring size: how many in-flight sequences reconnect replay can span")
+		sessIdle   = fs.Duration("session-idle", def.SessionIdle, "how long a detached session awaits resume before being reaped")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return 1
+	}
 
 	// Validate the backend selector here, where a typo gets a usage message,
 	// not a compile error from deep inside generation construction.
 	if !engine.ValidBackend(*backend) {
-		fatalf("evaxd: unknown -backend %q (want %q or %q)", *backend, serve.BackendFloat, serve.BackendQuantized)
+		return fail("evaxd: unknown -backend %q (want %q or %q)", *backend, serve.BackendFloat, serve.BackendQuantized)
 	}
 	if *bundle == "" && !engine.HasState(*stateDir) {
-		fatalf("evaxd: -bundle is required (train one with: evaxtrain -quick -bundle patch.json)")
+		return fail("evaxd: -bundle is required (train one with: evaxtrain -quick -bundle patch.json)")
 	}
 	if *agreement <= 0 || *agreement > 1 {
-		fatalf("evaxd: -agreement must be in (0, 1], got %g", *agreement)
+		return fail("evaxd: -agreement must be in (0, 1], got %g", *agreement)
 	}
 
 	mcfg := engine.ManagerConfig{
@@ -88,7 +107,7 @@ func main() {
 	if *canary != "" {
 		corpus, err := dataset.ReadCorpusFile(*canary)
 		if err != nil {
-			fatalf("evaxd: canary corpus: %v", err)
+			return fail("evaxd: canary corpus: %v", err)
 		}
 		mcfg.Corpus = corpus
 	}
@@ -102,48 +121,47 @@ func main() {
 		mgr, err = engine.Open(mcfg)
 		if err != nil {
 			if *bundle == "" {
-				fatalf("evaxd: recovering generation state: %v", err)
+				return fail("evaxd: recovering generation state: %v", err)
 			}
-			fmt.Fprintf(os.Stderr, "evaxd: generation state unrecoverable (%v); falling back to -bundle\n", err)
+			fmt.Fprintf(stderr, "evaxd: generation state unrecoverable (%v); falling back to -bundle\n", err)
 		}
 	}
 	if mgr == nil {
 		gen, err := engine.Load(*bundle, *backend)
 		if err != nil {
-			fatalf("evaxd: %v", err)
+			return fail("evaxd: %v", err)
 		}
 		mgr, err = engine.NewManager(gen, mcfg)
 		if err != nil {
-			fatalf("evaxd: %v", err)
+			return fail("evaxd: %v", err)
 		}
 	}
 	active := mgr.Active()
-	fmt.Printf("evaxd: bundle %s hash=%s backend=%s rawDim=%d\n",
+	fmt.Fprintf(stdout, "evaxd: bundle %s hash=%s backend=%s rawDim=%d\n",
 		displayPath(active.Path(), *bundle), active.HashHex(), active.Backend(), active.RawDim())
 
 	if *replay != "" {
 		samples, err := dataset.ReadCorpusFile(*replay)
 		if err != nil {
-			fatalf("evaxd: %v", err)
+			return fail("evaxd: %v", err)
 		}
 		start := time.Now()
 		res, err := serve.ReplayGeneration(active, samples, *seed, *jobs)
 		if err != nil {
-			fatalf("evaxd: %v", err)
+			return fail("evaxd: %v", err)
 		}
 		if d := time.Since(start).Seconds(); d > 0 {
 			res.MeanRate = float64(res.Rows) / d
 		}
-		fmt.Printf("replay: rows=%d flagged=%d seed=%d hash=%s (%.0f rows/sec)\n",
+		fmt.Fprintf(stdout, "replay: rows=%d flagged=%d seed=%d hash=%s (%.0f rows/sec)\n",
 			res.Rows, res.Flagged, res.Seed, res.HashHex(), res.MeanRate)
-		return
+		return 0
 	}
 
 	cfg := def
 	cfg.Addr = *addr
 	cfg.HTTPAddr = *httpAddr
 	cfg.MaxBatch = *batch
-	cfg.Linger = *linger
 	cfg.QueueBound = *queue
 	cfg.Shards = *shards
 	cfg.ShardID = *shardID
@@ -156,43 +174,44 @@ func main() {
 
 	srv, err := serve.NewFromManager(mgr, cfg)
 	if err != nil {
-		fatalf("evaxd: %v", err)
+		return fail("evaxd: %v", err)
 	}
 	if err := srv.Start(); err != nil {
-		fatalf("evaxd: %v", err)
+		return fail("evaxd: %v", err)
 	}
-	fmt.Printf("evaxd: serving %d-counter windows on %s", active.RawDim(), srv.Addr())
+	fmt.Fprintf(stdout, "evaxd: serving %d-counter windows on %s", active.RawDim(), srv.Addr())
 	if h := srv.HTTPAddr(); h != "" {
-		fmt.Printf(" (http %s)", h)
+		fmt.Fprintf(stdout, " (http %s)", h)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	if *watch != "" {
-		fmt.Printf("evaxd: watching %s for candidate bundles (every %s, gate %.4f)\n",
+		fmt.Fprintf(stdout, "evaxd: watching %s for candidate bundles (every %s, gate %.4f)\n",
 			*watch, *watchTick, *agreement)
-		watchLoop(ctx, mgr, *watch, *watchTick)
+		watchLoop(ctx, stdout, stderr, mgr, *watch, *watchTick)
 	} else {
 		<-ctx.Done()
 	}
 
-	fmt.Println("evaxd: draining...")
+	fmt.Fprintln(stdout, "evaxd: draining...")
 	snap, err := srv.Drain()
 	if err != nil {
-		fatalf("evaxd: drain: %v", err)
+		return fail("evaxd: drain: %v", err)
 	}
 	out, jerr := json.MarshalIndent(snap, "", "  ")
 	if jerr == nil {
-		fmt.Printf("evaxd: drained: %s\n", out)
+		fmt.Fprintf(stdout, "evaxd: drained: %s\n", out)
 	}
+	return 0
 }
 
 // watchLoop rescans the candidate intake directory until the context ends,
 // reporting every promotion decision. Deterministic: candidates are taken in
 // sorted filename order and each content hash is decided exactly once.
-func watchLoop(ctx context.Context, mgr *engine.Manager, dir string, every time.Duration) {
+func watchLoop(ctx context.Context, stdout, stderr io.Writer, mgr *engine.Manager, dir string, every time.Duration) {
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
@@ -203,7 +222,7 @@ func watchLoop(ctx context.Context, mgr *engine.Manager, dir string, every time.
 		}
 		reports, err := mgr.Rescan(dir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "evaxd: rescan: %v\n", err)
+			fmt.Fprintf(stderr, "evaxd: rescan: %v\n", err)
 			continue
 		}
 		for _, rep := range reports {
@@ -211,7 +230,7 @@ func watchLoop(ctx context.Context, mgr *engine.Manager, dir string, every time.
 			if err != nil {
 				continue
 			}
-			fmt.Printf("evaxd: candidate: %s\n", out)
+			fmt.Fprintf(stdout, "evaxd: candidate: %s\n", out)
 		}
 	}
 }
@@ -223,10 +242,4 @@ func displayPath(genPath, flagPath string) string {
 		return genPath
 	}
 	return flagPath
-}
-
-// fatalf reports a fatal error and exits nonzero.
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

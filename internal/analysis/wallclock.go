@@ -7,7 +7,7 @@ import (
 )
 
 // wallclockExemptScope lists the package-path suffixes where sampling the
-// wall clock is part of the job: the online serving layer (batch linger,
+// wall clock is part of the job: the online serving layer (enqueue stamps,
 // latency histograms, I/O deadlines), the run engine (retry backoff, job
 // timeouts), and the fleet layer (heartbeat pacing, probe RTTs, replay
 // rates). Command mains (any package under a cmd/ segment) are also exempt

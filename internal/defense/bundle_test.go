@@ -14,7 +14,7 @@ import (
 // syntheticBundle encodes a structurally valid bundle without training: an
 // untrained perceptron over the EVAX feature set plus unit maxima spanning
 // the derived space. Validation tests only need shape, not accuracy.
-func syntheticBundle(t *testing.T) []byte {
+func syntheticBundle(t testing.TB) []byte {
 	t.Helper()
 	fs := detect.EVAXBase()
 	fs.SetEngineered(detect.DefaultEngineered(fs))

@@ -52,54 +52,6 @@ type shard struct {
 	instrBuf []uint64
 	cycBuf   []uint64
 	scoreBuf []float64
-
-	// Batcher-goroutine state for the linger decision. gap is the running
-	// estimate of the time between arrivals, folded from the enq stamps by
-	// nextGap; last is the latest stamp seen. timer is the shard's one
-	// linger timer, kept stopped with its channel drained between batches.
-	gap   time.Duration
-	last  time.Time
-	timer *time.Timer
-}
-
-// gapWeightShift sets the arrival-gap EWMA's weight to 1/8.
-const gapWeightShift = 3
-
-// nextGap folds one arrival stamped enq into the inter-arrival estimate gap
-// and returns the new estimate and latest stamp. The observed gap enq − last
-// is clamped to [0, linger]: two connections can enqueue stamps out of order
-// (a negative gap), and an idle spell longer than linger says no more about
-// whether a batch would fill within linger than linger itself does. last only
-// moves forward, so a late stamp is not counted twice.
-func nextGap(gap time.Duration, last, enq time.Time, linger time.Duration) (time.Duration, time.Time) {
-	obs := enq.Sub(last)
-	if obs > 0 {
-		last = enq
-	}
-	obs = min(max(obs, 0), max(linger, 0))
-	return gap + (obs-gap)>>gapWeightShift, last
-}
-
-// shouldLinger reports whether a shard holding n samples waits (at most
-// linger) for more: only when the batch has room and, at the estimated
-// arrival gap, its free slots would fill within linger —
-// (maxBatch − n) × gap ≤ linger, computed without overflow. A shard whose
-// arrivals are slower flushes at once: waiting would add up to linger to
-// every verdict and still not fill the batch. linger ≤ 0 never waits.
-func shouldLinger(n, maxBatch int, gap, linger time.Duration) bool {
-	if linger <= 0 || n >= maxBatch {
-		return false
-	}
-	return gap <= linger/time.Duration(maxBatch-n)
-}
-
-// stopTimer stops t and drains a tick that fired before the stop, so the
-// next Reset starts clean (the pre-Go 1.23 timer rules, which go.mod's
-// language version selects; the drain is a no-op under the newer ones).
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		<-t.C
-	}
 }
 
 // run is the batcher loop: take a sample, top the batch up (collect), then
@@ -108,10 +60,6 @@ func stopTimer(t *time.Timer) {
 func (sh *shard) run() {
 	defer sh.srv.shardWg.Done()
 	cfg := sh.srv.cfg
-	// An idle or new shard counts as slow: its first sample scores at once.
-	sh.gap = cfg.Linger
-	sh.timer = time.NewTimer(time.Hour)
-	stopTimer(sh.timer)
 	batch := make([]request, 0, cfg.MaxBatch)
 	lats := make([]time.Duration, 0, cfg.MaxBatch)
 	for {
@@ -125,7 +73,7 @@ func (sh *shard) run() {
 			close(r.flush)
 			continue
 		}
-		sh.add(&batch, r)
+		batch = append(batch, r)
 		open := sh.collect(&batch, &lats)
 		sh.flush(&batch, &lats)
 		if !open {
@@ -134,62 +82,36 @@ func (sh *shard) run() {
 	}
 }
 
-// add appends r to the batch (within the capacity run sized it to) and
-// folds its arrival into the gap estimate.
-func (sh *shard) add(batch *[]request, r request) {
-	n := len(*batch)
-	*batch = (*batch)[:n+1]
-	(*batch)[n] = r
-	sh.gap, sh.last = nextGap(sh.gap, sh.last, r.enq, sh.srv.cfg.Linger)
-}
-
-// collect tops the batch up: it drains whatever is already queued without
-// blocking, then waits — at most Linger, on the shard's one timer — for the
-// batch to fill only if shouldLinger says the arrival rate would fill it
-// within Linger. A flush barrier flushes the batch and ends the collection.
+// collect tops the batch up with what is already queued and never waits for
+// more: the shard is work-conserving, so a sample never waits while its shard
+// is free, and a backlog that built up during the previous flush still fills
+// the batch. A flush barrier flushes the batch and ends the collection.
 // Returns false when the ingest channel closed.
 //
 //evaxlint:hotpath
 func (sh *shard) collect(batch *[]request, lats *[]time.Duration) bool {
-	cfg := &sh.srv.cfg
-	waiting := false
-	for len(*batch) < cfg.MaxBatch {
+	maxBatch := sh.srv.cfg.MaxBatch
+	for len(*batch) < maxBatch {
 		var r request
 		var ok bool
-		if waiting {
-			select {
-			case r, ok = <-sh.ch:
-			case <-sh.timer.C:
-				return true
-			}
-		} else {
-			select {
-			case r, ok = <-sh.ch:
-			default:
-				if !shouldLinger(len(*batch), cfg.MaxBatch, sh.gap, cfg.Linger) {
-					return true
-				}
-				sh.srv.met.lingered.Add(1)
-				sh.timer.Reset(cfg.Linger)
-				waiting = true
-				continue
-			}
+		select {
+		case r, ok = <-sh.ch:
+		default:
+			return true
 		}
-		if !ok || r.flush != nil {
-			if waiting {
-				stopTimer(sh.timer)
-			}
-			if !ok {
-				return false
-			}
+		if !ok {
+			return false
+		}
+		if r.flush != nil {
 			sh.flush(batch, lats)
 			close(r.flush)
 			return true
 		}
-		sh.add(batch, r)
-	}
-	if waiting {
-		stopTimer(sh.timer)
+		// run sized the batch to MaxBatch and the loop stops there, so the
+		// reslice stays within capacity.
+		n := len(*batch)
+		*batch = (*batch)[:n+1]
+		(*batch)[n] = r
 	}
 	return true
 }
@@ -278,8 +200,10 @@ func (sh *shard) flush(batch *[]request, lats *[]time.Duration) {
 				sh.srv.met.flagged.Add(1)
 			}
 			sh.srv.met.scored.Add(1)
-			if target != nil {
-				target.deliverShed(AppendVerdict(sh.srv.getFrame(), v))
+			if target != nil && !target.deliverShed(AppendVerdict(sh.srv.getFrame(), v)) {
+				sess.mu.Lock()
+				sess.shed++
+				sess.mu.Unlock()
 			}
 			ls[i] = time.Since(r.enq)
 			sh.srv.putRow(r.raw)

@@ -86,7 +86,6 @@ func chaosServerConfig() serve.Config {
 	cfg := serve.DefaultConfig()
 	cfg.Shards = 2
 	cfg.MaxBatch = 8
-	cfg.Linger = time.Millisecond
 	cfg.QueueBound = 4096
 	return cfg
 }

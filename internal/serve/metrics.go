@@ -37,7 +37,6 @@ type Metrics struct {
 	scored       atomic.Uint64
 	flagged      atomic.Uint64
 	batches      atomic.Uint64
-	lingered     atomic.Uint64 // batches whose shard armed the linger timer
 	writeErrors  atomic.Uint64
 
 	// Resilience counters: session lifecycle, dedup-window hits, and the
@@ -140,10 +139,6 @@ type Snapshot struct {
 	Shed         uint64  `json:"verdicts_shed"`
 	IdleReaped   uint64  `json:"conns_idle_reaped"`
 	ScoresPerSec float64 `json:"scores_per_sec"`
-	// Lingered counts the batches whose shard waited on the linger timer
-	// for more samples instead of flushing what was queued: near Batches
-	// under load that fills batches, near 0 at a trickle.
-	Lingered uint64 `json:"batches_lingered"`
 	// BatchOccupancy[i] counts flushed batches of exactly i samples (the
 	// last entry also absorbs any larger batches).
 	BatchOccupancy []uint64 `json:"batch_occupancy"`
@@ -165,7 +160,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Scored:       m.scored.Load(),
 		Flagged:      m.flagged.Load(),
 		Batches:      m.batches.Load(),
-		Lingered:     m.lingered.Load(),
 		WriteErrors:  m.writeErrors.Load(),
 		Sessions:     m.sessions.Load(),
 		Resumed:      m.resumed.Load(),

@@ -161,7 +161,6 @@ func TestServeBitIdenticalToOffline(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 2
 	cfg.MaxBatch = 8
-	cfg.Linger = time.Millisecond
 	srv := startServer(t, cfg)
 
 	const conns = 4
@@ -266,7 +265,6 @@ func TestAdmissionControlRejects(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxBatch = 4
 	cfg.QueueBound = 4
-	cfg.Linger = 5 * time.Millisecond
 	cfg.flushPause = func() { <-gate }
 	srv := startServer(t, cfg)
 
@@ -585,7 +583,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &fields); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"batches", "batches_lingered", "batch_occupancy"} {
+	for _, key := range []string{"batches", "batch_occupancy"} {
 		if _, ok := fields[key]; !ok {
 			t.Fatalf("/metrics lacks %q", key)
 		}

@@ -48,14 +48,10 @@ type Config struct {
 	// HTTPAddr, when non-empty, serves the localhost HTTP/JSON fallback:
 	// /metrics, /score, /healthz and /debug/pprof.
 	HTTPAddr string
-	// MaxBatch caps a scoring micro-batch.
+	// MaxBatch caps a scoring micro-batch. A shard never waits for its
+	// batch to fill: it scores whatever is queued as soon as it is free, so
+	// batches fill only from the backlog that queues while it scores.
 	MaxBatch int
-	// Linger is the longest a shard waits for its batch to fill. After
-	// taking what is already queued, a shard waits only if its arrival rate
-	// (an estimate kept from the samples' enqueue times) would fill the
-	// batch within Linger; otherwise it flushes at once, so a sample at low
-	// load is scored without waiting. <= 0 never waits.
-	Linger time.Duration
 	// QueueBound caps each shard's ingest queue — the admission-control
 	// bound. Samples arriving with the queue full are rejected with
 	// RejectOverload, never buffered.
@@ -102,14 +98,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the serving defaults: loopback listener on an
-// ephemeral port, 32-sample batches that wait at most 2ms to fill (and only
-// when arrivals would fill them in that time), and a 1024-deep admission
-// queue per shard.
+// ephemeral port, batches of at most 32 samples that never wait to fill, and
+// a 1024-deep admission queue per shard.
 func DefaultConfig() Config {
 	return Config{
 		Addr:          "127.0.0.1:0",
 		MaxBatch:      32,
-		Linger:        2 * time.Millisecond,
 		QueueBound:    1024,
 		Shards:        1,
 		SecureWindow:  1_000_000,

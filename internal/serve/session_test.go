@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"evax/internal/testleak"
 )
 
 // TestSessionResumeExactlyOnce is the server half of the exactly-once
@@ -273,5 +276,86 @@ func TestHalfCloseTolerated(t *testing.T) {
 	}
 	if len(verdicts) != 5 || stats.Scored != 5 {
 		t.Fatalf("half-closed conn: %d verdicts, scored %d, want 5/5", len(verdicts), stats.Scored)
+	}
+}
+
+// TestShedVerdictCountedAndReplayable: a session verdict that meets a full
+// outbound queue is shed, counted in /metrics and in the session's stats
+// frame, and a replay of its sequence number gets the shed verdict back from
+// the dedup ring. The test drives one shard by hand on a server that was
+// never started, so nothing drains the queue it fills.
+func TestShedVerdictCountedAndReplayable(t *testing.T) {
+	testleak.Check(t)
+	det, ds, samples := lab(t)
+	cfg := DefaultConfig()
+	srv, err := New(det, ds, len(samples[0].Raw), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &conn{id: 1, srv: srv, out: make(chan []byte, outQueueDepth)}
+	if _, err := srv.attachSession(c, 0); err != nil {
+		t.Fatal(err)
+	}
+	s := &samples[0]
+	sample, _, err := DecodeFrame(AppendSample(nil, SampleHeader{Seq: 0}, s.Instructions, s.Cycles, s.Raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.handleSample(sample.Payload)
+	for len(c.out) < cap(c.out) {
+		c.out <- AppendPong(nil, 0)
+	}
+	batch := append(make([]request, 0, cfg.MaxBatch), <-c.shard.ch)
+	lats := make([]time.Duration, 0, cfg.MaxBatch)
+	c.shard.flush(&batch, &lats)
+	if shed := srv.Metrics().Snapshot().Shed; shed != 1 {
+		t.Fatalf("verdicts_shed = %d, want 1", shed)
+	}
+
+	// Make room, then replay seq 0: the ring answers with the shed verdict.
+	for len(c.out) > 0 {
+		<-c.out
+	}
+	c.handleSample(sample.Payload)
+	if len(c.shard.ch) != 0 {
+		t.Fatal("the replay of a scored sample was queued for scoring again")
+	}
+	fr, _, err := DecodeFrame(<-c.out)
+	if err != nil || fr.Type != FrameVerdict {
+		t.Fatalf("replay answered with frame type 0x%02x (%v), want a verdict", fr.Type, err)
+	}
+	got, err := DecodeVerdict(fr.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := offlineVerdicts(t, samples[:1], cfg.SecureWindow)[0]
+	if got.Seq != want.Seq || math.Float64bits(got.Score) != math.Float64bits(want.Score) || got.Flags != want.Flags {
+		t.Fatalf("replayed verdict %+v, want the scored %+v", got, want)
+	}
+
+	// Teardown's flush barrier needs the shard's batcher running.
+	srv.shardWg.Add(1)
+	go c.shard.run()
+	c.teardown()
+	close(c.shard.ch)
+	srv.shardWg.Wait()
+	var stats *ConnStats
+	for frame := range c.out {
+		fr, _, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Type == FrameStats {
+			stats = new(ConnStats)
+			if err := json.Unmarshal(fr.Payload, stats); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if stats == nil {
+		t.Fatal("teardown sent no stats frame")
+	}
+	if stats.Shed != 1 || stats.SessionScored != 1 || stats.Dupes != 1 || stats.Resent != 1 {
+		t.Fatalf("stats frame %+v, want shed 1, scored 1, dupes 1, resent 1", *stats)
 	}
 }
