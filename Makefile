@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint vet-portable bench bench-sim bench-train bench-json fuzz check fmt
+.PHONY: build test race lint vet-portable bench bench-sim bench-train fuzz check fmt
 
 build: ## compile every package
 	$(GO) build ./...
@@ -34,9 +34,6 @@ bench-sim: ## one pass of the simulator benchmarks (instr/s, B/instr; fails if t
 bench-train: ## one pass of the AM-GAN training benchmark at the lab's shape, and of the forward kernel at the generator's layer shapes
 	$(GO) test -run '^$$' -bench 'AMGANTrain' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'MulAddRows' -benchtime 1000x ./internal/vec
-
-bench-json: ## runner speedup + equivalence report (BENCH_runner.json)
-	$(GO) run ./cmd/evaxbench -benchjson BENCH_runner.json -quick
 
 fuzz: ## 5 s mutation pass over every fuzz target in the module
 	@set -e; $(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \

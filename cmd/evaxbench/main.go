@@ -9,7 +9,6 @@
 //	evaxbench -exp fig16     # one experiment
 //	evaxbench -quick         # reduced scale (the test configuration)
 //	evaxbench -jobs 8        # fan simulation campaigns out over 8 workers
-//	evaxbench -benchjson BENCH_runner.json   # runner speedup + equivalence report
 //	evaxbench -resume ckpt/   # journal campaigns into ckpt/; rerun to resume a killed run
 //	evaxbench -list
 package main
@@ -21,14 +20,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strings"
 	"time"
 
-	"evax/internal/benchjson"
 	"evax/internal/checkpoint"
-	"evax/internal/dataset"
 	"evax/internal/experiments"
 	"evax/internal/isa"
 	"evax/internal/runner"
@@ -45,7 +41,6 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced scale (the test configuration)")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		jobs      = flag.Int("jobs", 0, "worker count for simulation campaigns (0 = GOMAXPROCS, 1 = sequential)")
-		benchJSON = flag.String("benchjson", "", "measure parallel corpus generation against -jobs 1, write a JSON report to this file, and exit")
 		resumeDir = flag.String("resume", "", "directory for checkpoint journals; a killed run restarted with the same flags resumes its campaigns bit-identically")
 	)
 	flag.Parse()
@@ -53,14 +48,6 @@ func main() {
 	if *list {
 		for _, id := range experimentIDs {
 			fmt.Println(id)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *jobs, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -161,74 +148,6 @@ func reportThroughput(stage string, wall time.Duration, jobs uint64) {
 	}
 	fmt.Printf("[%s completed in %v: %d jobs, %.1f jobs/sec]\n",
 		stage, wall.Round(time.Millisecond), jobs, float64(jobs)/wall.Seconds())
-}
-
-// benchReport is the BENCH_runner.json schema: wall-clock and throughput of
-// corpus generation sequentially and fanned out, plus the equivalence bit
-// (parallel output must be byte-identical to -jobs 1).
-type benchReport struct {
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Jobs          int     `json:"jobs"`
-	CorpusSamples int     `json:"corpus_samples"`
-	JobsRun       uint64  `json:"jobs_run"`
-	SeqMillis     float64 `json:"seq_wall_ms"`
-	ParMillis     float64 `json:"par_wall_ms"`
-	SeqJobsPerSec float64 `json:"seq_jobs_per_sec"`
-	ParJobsPerSec float64 `json:"par_jobs_per_sec"`
-	Speedup       float64 `json:"speedup"`
-	Identical     bool    `json:"identical"`
-}
-
-// writeBenchJSON times corpus generation at -jobs 1 versus the requested
-// worker count, checks bit-for-bit equivalence, and writes the report.
-func writeBenchJSON(path string, jobs int, quick bool) error {
-	if jobs <= 1 {
-		jobs = runtime.GOMAXPROCS(0)
-		if jobs < 4 {
-			jobs = 4 // measure real fan-out even on small hosts
-		}
-	}
-	o := dataset.DefaultCorpusOptions()
-	if quick {
-		o.Seeds = 2
-		o.MaxInstr = 40_000
-	}
-
-	o.Jobs = 1
-	t0, s0 := time.Now(), runner.Snapshot()
-	seq := dataset.CollectAll(o)
-	seqWall := time.Since(t0)
-	perRun := runner.Snapshot().JobsRun - s0.JobsRun
-
-	o.Jobs = jobs
-	t1 := time.Now()
-	par := dataset.CollectAll(o)
-	parWall := time.Since(t1)
-
-	identical := reflect.DeepEqual(seq, par)
-	r := benchReport{
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Jobs:          jobs,
-		CorpusSamples: len(seq),
-		JobsRun:       perRun,
-		SeqMillis:     float64(seqWall.Microseconds()) / 1000,
-		ParMillis:     float64(parWall.Microseconds()) / 1000,
-		SeqJobsPerSec: float64(perRun) / seqWall.Seconds(),
-		ParJobsPerSec: float64(perRun) / parWall.Seconds(),
-		Speedup:       seqWall.Seconds() / parWall.Seconds(),
-		Identical:     identical,
-	}
-	// Merge rather than overwrite: other tools (evaxload's `serving`
-	// section) contribute their own keys to the same report file.
-	if err := benchjson.Merge(path, r); err != nil {
-		return fmt.Errorf("writing bench report: %w", err)
-	}
-	fmt.Printf("runner bench: %d jobs  seq=%v  par(%d)=%v  speedup=%.2fx  identical=%v -> %s\n",
-		r.JobsRun, seqWall.Round(time.Millisecond), jobs, parWall.Round(time.Millisecond), r.Speedup, r.Identical, path)
-	if !r.Identical {
-		return fmt.Errorf("evaxbench: parallel corpus diverged from sequential reference")
-	}
-	return nil
 }
 
 func run(id string, lab *experiments.Lab, resumeDir string) (fmt.Stringer, error) {

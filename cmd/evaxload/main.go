@@ -1,315 +1,64 @@
-// Command evaxload is the load-generation harness for evaxd: it drives N
-// concurrent synthetic clients replaying a benign/attack corpus against a
-// running server at a target rate, then reports throughput and round-trip
-// latency percentiles. With -benchjson the measurements are merged into
-// BENCH_runner.json as the `serving` section, alongside evaxbench's scoring
-// sections.
+// Command evaxload records the synthetic benign+attack corpus that evaxd
+// reads as its golden canary corpus (-canary) and replays (-replay). The
+// corpus comes from seeded simulator runs, so the same -seeds always writes
+// the same file.
 //
 // Usage:
 //
-//	evaxload -record corpus.bin                  # record a replayable corpus
-//	evaxload -addr 127.0.0.1:9317 -clients 8 -n 500 -rate 20000
-//	evaxload -addr 127.0.0.1:9317 -corpus corpus.bin -benchjson BENCH_runner.json
-//	evaxload -addr 127.0.0.1:9317 -chaos 6       # chaos mode: deterministic fault injection
-//	evaxload -fleet 4 -bundle patch.json         # fleet mode: digest-identical at 1/2/4 shards
+//	evaxload -record corpus.bin            # record a replayable corpus
+//	evaxload -record corpus.bin -seeds 4   # more seeded instances per program
 //
-// Chaos mode (-chaos N) swaps the synthetic dial loop for the resilient
-// client (internal/serve/client): each client suffers N deterministic
-// injected connection faults (kills, torn writes, truncations, stalls, read
-// kills), survives them via session resume + replay, and the merged verdict
-// digest is compared against a fault-free run — it must match bit-for-bit.
-// The `chaos` section (reconnect/retry/breaker counters, recovery latency,
-// digest match) merges into BENCH_runner.json.
+// Load against a running server is perfbench's (bash perfbench/run.sh); the
+// fleet digest sweep is evaxfleet -replay.
 package main
 
 import (
-	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
-	"evax/internal/benchjson"
 	"evax/internal/dataset"
-	"evax/internal/fleet"
-	"evax/internal/serve"
-	"evax/internal/serve/client"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and output streams injected, so the flag
+// and exit-code contract is testable: 0 after -h or a written corpus, 2 for
+// a flag that does not parse or a missing -record, 1 for any other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("evaxload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr    = flag.String("addr", "127.0.0.1:9317", "evaxd framing-protocol address")
-		clients = flag.Int("clients", 4, "concurrent client connections")
-		perConn = flag.Int("n", 250, "samples each client streams")
-		rate    = flag.Float64("rate", 0, "target aggregate samples/sec (0 = full speed)")
-		corpus  = flag.String("corpus", "", "replay this recorded corpus (default: generate a quick synthetic one)")
-		record  = flag.String("record", "", "generate the synthetic corpus, write it here, and exit")
-		seeds   = flag.Int("seeds", 2, "seeded instances per program when generating the synthetic corpus")
-		jsonOut = flag.String("benchjson", "", "merge the `serving` section into this report file")
-
-		swapBundle = flag.String("swap-bundle", "", "hot-swap this server-local candidate bundle mid-run and measure swap latency (live vaccination)")
-		swapAfter  = flag.Float64("swap-after", 0.5, "fraction of total samples sent before the mid-run swap triggers")
-
-		chaosFaults = flag.Int("chaos", 0, "chaos mode: inject this many deterministic connection faults per client via resilient clients, then compare the verdict digest against a fault-free run")
-		chaosName   = flag.String("chaos-name", "evaxload-chaos", "schedule name seeding the deterministic fault plan (same name, same faults)")
-		chaosStall  = flag.Duration("chaos-stall", 50*time.Millisecond, "pause stall-write faults hold before severing the connection")
-
-		fleetMax    = flag.Int("fleet", 0, "fleet mode: self-host in-process fleets at shard counts 1,2,4,... up to this count, replay the corpus through each, and require a bit-identical merged digest at every shard count")
-		fleetBundle = flag.String("bundle", "", "detection bundle fleet mode serves (required with -fleet)")
-		fleetSeed   = flag.Int64("seed", 1, "fleet-mode tenant routing seed; the merged digest is identical for every seed")
+		record = fs.String("record", "", "generate the synthetic corpus and write it here")
+		seeds  = fs.Int("seeds", 2, "seeded instances per program when generating the synthetic corpus")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *record == "" {
+		fmt.Fprintln(stderr, "evaxload: -record is required")
+		fs.Usage()
+		return 2
+	}
 
-	var (
-		samples []dataset.Sample
-		err     error
-	)
-	if *corpus != "" {
-		samples, err = dataset.ReadCorpusFile(*corpus)
-	} else {
-		samples = syntheticCorpus(*seeds)
-	}
-	if err != nil {
-		fatalf("evaxload: %v", err)
-	}
+	samples := syntheticCorpus(*seeds)
 	if len(samples) == 0 {
-		fatalf("evaxload: corpus is empty")
+		fmt.Fprintln(stderr, "evaxload: corpus is empty")
+		return 1
 	}
-	if *record != "" {
-		if err := dataset.WriteCorpusFile(*record, samples); err != nil {
-			fatalf("evaxload: %v", err)
-		}
-		fmt.Printf("evaxload: recorded %d samples to %s\n", len(samples), *record)
-		return
+	if err := dataset.WriteCorpusFile(*record, samples); err != nil {
+		fmt.Fprintf(stderr, "evaxload: %v\n", err)
+		return 1
 	}
-
-	if *chaosFaults > 0 {
-		runChaos(*addr, *clients, *perConn, *chaosFaults, *chaosName, *chaosStall, *jsonOut, samples)
-		return
-	}
-
-	if *fleetMax > 0 {
-		if *fleetBundle == "" {
-			fatalf("evaxload: -fleet needs -bundle (train one with: evaxtrain -quick -bundle patch.json)")
-		}
-		// Tenants are the routing granularity: with too few, per-shard skew
-		// is dominated by small-sample noise rather than ring balance, so
-		// the sweep floors the tenant count well above the shard counts.
-		runFleet(*fleetBundle, *fleetMax, max(*clients, 4**fleetMax), *fleetSeed, *jsonOut, samples)
-		return
-	}
-
-	rep, err := serve.RunLoad(context.Background(), serve.LoadOptions{
-		Addr:       *addr,
-		Clients:    *clients,
-		PerClient:  *perConn,
-		Rate:       *rate,
-		Samples:    samples,
-		SwapBundle: *swapBundle,
-		SwapAfter:  *swapAfter,
-	})
-	if err != nil {
-		fatalf("evaxload: %v", err)
-	}
-
-	out, jerr := json.MarshalIndent(rep, "", "  ")
-	if jerr != nil {
-		fatalf("evaxload: %v", jerr)
-	}
-	fmt.Printf("serving: %s\n", out)
-	if *jsonOut != "" {
-		sections := map[string]any{"serving": rep}
-		if rep.Swap != nil {
-			// The swap measurement is its own top-level section: swap latency
-			// and during-swap tail latency are the zero-downtime numbers.
-			sections["swap"] = rep.Swap
-		}
-		if err := benchjson.Merge(*jsonOut, sections); err != nil {
-			fatalf("evaxload: %v", err)
-		}
-		fmt.Printf("evaxload: merged serving section into %s\n", *jsonOut)
-	}
-}
-
-// chaosSection is the JSON shape of the chaos measurement: resilience
-// counters, recovery latency, and the exactly-once invariant (the faulted
-// run's merged verdict digest must equal the fault-free run's).
-type chaosSection struct {
-	Clients         int     `json:"clients"`
-	PerClient       int     `json:"per_client"`
-	FaultsPlanned   int     `json:"faults_planned"`
-	FaultsFired     int     `json:"faults_fired"`
-	Reconnects      uint64  `json:"reconnects"`
-	Retries         uint64  `json:"retries"`
-	BreakerOpens    uint64  `json:"breaker_opens"`
-	Pings           uint64  `json:"pings"`
-	Timeouts        uint64  `json:"timeouts"`
-	Digest          string  `json:"digest"`
-	BaselineDigest  string  `json:"baseline_digest"`
-	DigestMatch     bool    `json:"digest_match"`
-	LatencyP50Ms    float64 `json:"latency_p50_ms"`
-	LatencyP99Ms    float64 `json:"latency_p99_ms"`
-	BaselineP50Ms   float64 `json:"baseline_p50_ms"`
-	BaselineP99Ms   float64 `json:"baseline_p99_ms"`
-	DigestMatchNote string  `json:"note,omitempty"`
-}
-
-// runChaos streams the corpus through resilient clients twice — fault-free,
-// then through the deterministic fault plan — and reports whether chaos
-// changed a single verdict bit.
-func runChaos(addr string, clients, perConn, faults int, name string, stall time.Duration, jsonOut string, samples []dataset.Sample) {
-	work := make([][]client.Sample, clients)
-	for i := range work {
-		rows := make([]client.Sample, perConn)
-		for j := 0; j < perConn; j++ {
-			s := &samples[(i*perConn+j)%len(samples)]
-			rows[j] = client.Sample{Instructions: s.Instructions, Cycles: s.Cycles, Raw: s.Raw}
-		}
-		work[i] = rows
-	}
-	cfg := client.ChaosConfig{
-		Addr:   addr,
-		RawDim: len(samples[0].Raw),
-		Name:   name,
-		Stall:  stall,
-	}
-	base, err := client.RunChaos(cfg, work)
-	if err != nil {
-		fatalf("evaxload: fault-free baseline: %v", err)
-	}
-	cfg.FaultsPerClient = faults
-	rep, err := client.RunChaos(cfg, work)
-	if err != nil {
-		fatalf("evaxload: chaos run: %v", err)
-	}
-
-	sec := chaosSection{
-		Clients:        clients,
-		PerClient:      perConn,
-		FaultsPlanned:  clients * faults,
-		FaultsFired:    len(rep.Events),
-		Reconnects:     rep.Totals(func(s client.Stats) uint64 { return s.Reconnects }),
-		Retries:        rep.Totals(func(s client.Stats) uint64 { return s.Retries }),
-		BreakerOpens:   rep.Totals(func(s client.Stats) uint64 { return s.BreakerOpens }),
-		Pings:          rep.Totals(func(s client.Stats) uint64 { return s.Pings }),
-		Timeouts:       rep.Totals(func(s client.Stats) uint64 { return s.Timeouts }),
-		Digest:         fmt.Sprintf("%016x", rep.Digest),
-		BaselineDigest: fmt.Sprintf("%016x", base.Digest),
-		DigestMatch:    rep.Digest == base.Digest && rep.Rows == base.Rows,
-		LatencyP50Ms:   rep.LatencyP50Ms,
-		LatencyP99Ms:   rep.LatencyP99Ms,
-		BaselineP50Ms:  base.LatencyP50Ms,
-		BaselineP99Ms:  base.LatencyP99Ms,
-	}
-	if !sec.DigestMatch {
-		sec.DigestMatchNote = "verdicts diverged under faults: exactly-once accounting is broken"
-	}
-	out, jerr := json.MarshalIndent(sec, "", "  ")
-	if jerr != nil {
-		fatalf("evaxload: %v", jerr)
-	}
-	fmt.Printf("chaos: %s\n", out)
-	if jsonOut != "" {
-		if err := benchjson.Merge(jsonOut, map[string]any{"chaos": sec}); err != nil {
-			fatalf("evaxload: %v", err)
-		}
-		fmt.Printf("evaxload: merged chaos section into %s\n", jsonOut)
-	}
-	if !sec.DigestMatch {
-		os.Exit(1)
-	}
-}
-
-// fleetSection is the JSON shape of the fleet measurement: per-shard-count
-// replay runs and the golden invariant (one merged digest across every shard
-// count).
-type fleetSection struct {
-	ShardCounts []int      `json:"shard_counts"`
-	Tenants     int        `json:"tenants"`
-	Rows        int        `json:"rows"`
-	Seed        int64      `json:"seed"`
-	Digest      string     `json:"digest"`
-	DigestMatch bool       `json:"digest_match"`
-	Runs        []fleetRun `json:"runs"`
-	Note        string     `json:"note,omitempty"`
-}
-
-// fleetRun is one shard count's replay summary.
-type fleetRun struct {
-	Shards     int       `json:"shards"`
-	Digest     string    `json:"digest"`
-	Flagged    int       `json:"flagged"`
-	Skew       float64   `json:"skew"`
-	MeanRate   float64   `json:"mean_rate"`
-	ShardRows  []int     `json:"shard_rows"`
-	ShardRates []float64 `json:"shard_rates"`
-}
-
-// runFleet replays the corpus through self-hosted in-process fleets at shard
-// counts 1, 2, 4, ... up to maxShards and requires the merged verdict digest
-// to be bit-identical at every count — the fleet determinism gate. Nonzero
-// exit on any divergence.
-func runFleet(bundlePath string, maxShards, tenants int, seed int64, jsonOut string, samples []dataset.Sample) {
-	data, err := os.ReadFile(bundlePath)
-	if err != nil {
-		fatalf("evaxload: %v", err)
-	}
-	var counts []int
-	for n := 1; n <= maxShards; n *= 2 {
-		counts = append(counts, n)
-	}
-
-	sec := fleetSection{ShardCounts: counts, Rows: len(samples), Seed: seed, DigestMatch: true}
-	for _, n := range counts {
-		fl, err := fleet.New(data, fleet.Config{Shards: n, Serve: serve.DefaultConfig()})
-		if err != nil {
-			fatalf("evaxload: fleet %d shards: %v", n, err)
-		}
-		if err := fl.Start(); err != nil {
-			fatalf("evaxload: fleet %d shards: %v", n, err)
-		}
-		rep, rerr := fl.Replay(samples, fleet.ReplayOptions{Tenants: tenants, Seed: seed})
-		if _, derr := fl.Drain(); derr != nil {
-			fatalf("evaxload: fleet %d shards drain: %v", n, derr)
-		}
-		if rerr != nil {
-			fatalf("evaxload: fleet %d shards replay: %v", n, rerr)
-		}
-		sec.Tenants = rep.Tenants
-		sec.Runs = append(sec.Runs, fleetRun{
-			Shards:     n,
-			Digest:     rep.HashHex(),
-			Flagged:    rep.Flagged,
-			Skew:       rep.Skew,
-			MeanRate:   rep.MeanRate,
-			ShardRows:  rep.ShardRows,
-			ShardRates: rep.ShardRates,
-		})
-		if sec.Digest == "" {
-			sec.Digest = rep.HashHex()
-		} else if rep.HashHex() != sec.Digest {
-			sec.DigestMatch = false
-		}
-	}
-	if !sec.DigestMatch {
-		sec.Note = "merged digest diverged across shard counts: fleet routing perturbed a verdict"
-	}
-
-	out, jerr := json.MarshalIndent(sec, "", "  ")
-	if jerr != nil {
-		fatalf("evaxload: %v", jerr)
-	}
-	fmt.Printf("fleet: %s\n", out)
-	if jsonOut != "" {
-		if err := benchjson.Merge(jsonOut, map[string]any{"fleet": sec}); err != nil {
-			fatalf("evaxload: %v", err)
-		}
-		fmt.Printf("evaxload: merged fleet section into %s\n", jsonOut)
-	}
-	if !sec.DigestMatch {
-		os.Exit(1)
-	}
+	fmt.Fprintf(stdout, "evaxload: recorded %d samples to %s\n", len(samples), *record)
+	return 0
 }
 
 // syntheticCorpus builds a small benign+attack corpus from simulator runs,
@@ -319,10 +68,4 @@ func syntheticCorpus(seeds int) []dataset.Sample {
 	opts.Seeds = seeds
 	opts.MaxInstr = 30_000
 	return dataset.CollectAll(opts)
-}
-
-// fatalf reports a fatal error and exits nonzero.
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

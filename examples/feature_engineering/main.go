@@ -26,16 +26,14 @@ func main() {
 	fs := detect.EVAXBase()
 	fs.SetEngineered(lab.Mined)
 	fmt.Println("\nmean engineered-feature activation (benign vs attacks):")
-	var benignSum, attackSum []float64
+	v := make([]float64, fs.Dim())
+	eng := v[fs.BaseDim():]
+	benignSum := make([]float64, len(eng))
+	attackSum := make([]float64, len(eng))
 	benignN, attackN := 0, 0
 	for i := range lab.DS.Samples {
 		s := &lab.DS.Samples[i]
-		v := fs.Vector(s.Derived)
-		eng := v[fs.BaseDim():]
-		if benignSum == nil {
-			benignSum = make([]float64, len(eng))
-			attackSum = make([]float64, len(eng))
-		}
+		fs.GatherVector(v, s.Derived)
 		if s.Class == isa.ClassBenign {
 			for j, x := range eng {
 				benignSum[j] += x

@@ -8,8 +8,8 @@ import (
 )
 
 // The pinned corpus fingerprints below were captured on the row-oriented
-// pipeline (closure-table ReadCounters, per-sample ExpandDerived
-// allocations, per-row normalization) immediately before the columnar
+// pipeline (closure-table ReadCounters, a freshly allocated derived row
+// per sample, per-row normalization) immediately before the columnar
 // refactor. The columnar path — flat counter array, compiled Expander,
 // SampleBlock storage, column-sweep normalization — must reproduce them
 // bit-for-bit: the hash covers every raw delta, every derived value, all

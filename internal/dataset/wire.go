@@ -13,8 +13,9 @@ import (
 // geometry (instructions, cycles) followed by the raw counter deltas as
 // IEEE-754 bit patterns, little-endian. The same codec backs the online
 // serving protocol's sample frames (internal/serve) and the recorded replay
-// corpora evaxd -replay and evaxload consume, so a corpus recorded once is
-// replayed through exactly the bytes a live client would have streamed.
+// corpora evaxload -record writes and evaxd -replay consumes, so a corpus
+// recorded once is replayed through exactly the bytes a live client would
+// have streamed.
 //
 // Decoding is hostile-input safe: every length is checked before any read,
 // and malformed input returns an error — never a panic (serve.FuzzDecodeFrame

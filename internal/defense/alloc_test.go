@@ -32,14 +32,14 @@ func TestFlagWindowZeroAlloc(t *testing.T) {
 	}
 }
 
-// Replay's no-flag path scores every recorded window and returns the
+// A gated run's no-flag path scores every recorded window and returns the
 // recording: the figure drivers take it once per detector per workload, so
 // it allocates nothing.
 func TestReplayNoFlagZeroAlloc(t *testing.T) {
-	cfg, prog, dcfg := sim.DefaultConfig(), benignProg(), replayConfig(sim.PolicyFenceAfterBranch)
-	rec := Record(cfg, prog, dcfg, replayInstr)
+	dcfg := replayConfig(sim.PolicyFenceAfterBranch)
+	rec := Record(sim.DefaultConfig(), benignProg(), dcfg, replayInstr)
 	fl := testFlagger(math.Inf(1))
-	if n := testing.AllocsPerRun(100, func() { Replay(rec, cfg, prog, fl, dcfg, replayInstr) }); n != 0 {
-		t.Errorf("Replay without a flag allocates %v times, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { rec.Gate(fl).Run(dcfg) }); n != 0 {
+		t.Errorf("a gated run without a flag allocates %v times, want 0", n)
 	}
 }

@@ -18,9 +18,10 @@ import (
 // normalizer (see NewDetectorFlagger in this package's adapter file).
 //
 // FlagWindow must be a pure function of its sample: the same window gets
-// the same verdict whenever, and however often, it is scored. Replay relies
-// on it: a replay that flags at window k has scored windows 0..k, and the
-// protected run it falls back to scores them again from instruction 0.
+// the same verdict whenever, and however often, it is scored. Gate.Run
+// relies on it: a gated run that flags at window k has scored windows
+// 0..k, and the protected run it falls back to scores them again from
+// instruction 0.
 type Flagger interface {
 	// FlagWindow inspects one HPC sampling window and reports whether
 	// mitigation should engage.

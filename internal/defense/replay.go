@@ -1,8 +1,6 @@
 package defense
 
 import (
-	"reflect"
-
 	"evax/internal/hpc"
 	"evax/internal/isa"
 	"evax/internal/sim"
@@ -29,7 +27,8 @@ type Recording struct {
 
 // Record runs prog unprotected (NeverOn) for up to maxInstr instructions
 // under dcfg's sampling cadence and quantum, and keeps every window for
-// Replay. The program is retained: a replay that flags re-simulates it.
+// Recording.Gate. The program is retained: a gated run that flags
+// re-simulates it.
 func Record(cfg sim.Config, prog *isa.Program, dcfg Config, maxInstr uint64) *Recording {
 	c := NewController(sim.New(cfg, prog), NeverOn, dcfg)
 	c.record = true
@@ -46,7 +45,8 @@ func Record(cfg sim.Config, prog *isa.Program, dcfg Config, maxInstr uint64) *Re
 }
 
 // Result is the recorded NeverOn run's summary. Its Timeline is shared with
-// the recording and with every Replay that does not flag: do not modify it.
+// the recording and with every Gate.Run that does not flag: do not modify
+// it.
 func (r *Recording) Result() Result { return r.res }
 
 // firstFlag scores the recorded windows in order and returns the index of
@@ -64,7 +64,8 @@ func (r *Recording) firstFlag(fl Flagger) int {
 }
 
 // Gate is a recording scored by one flagger. The windows are scored once,
-// in Recording.Gate; Run then yields the gated run under any policy.
+// in Recording.Gate; Run then yields the gated run under any policy, so the
+// figure drivers score one recording once and call Run per policy.
 type Gate struct {
 	rec   *Recording
 	fl    Flagger
@@ -94,22 +95,4 @@ func (g Gate) Run(dcfg Config) Result {
 		return r.res
 	}
 	return RunProgram(r.cfg, r.prog, g.fl, dcfg, r.maxInstr)
-}
-
-// Replay returns the Result RunProgram(cfg, prog, fl, dcfg, maxInstr)
-// would, from rec, a recording of the same run: it scores the recorded
-// windows in order, returns the recording if none flags, and on the first
-// flag re-simulates the protected run from instruction 0. It panics if the
-// config, program, maxInstr, SampleInterval or Quantum differ from the
-// recording's.
-//
-// Replay is rec.Gate(fl).Run(dcfg) with the identity of the run checked;
-// that check is all it adds. Callers that gate one recording under several
-// policies (Figures 14 and 16) score it once with Recording.Gate and call
-// Gate.Run per policy.
-func Replay(rec *Recording, cfg sim.Config, prog *isa.Program, fl Flagger, dcfg Config, maxInstr uint64) Result {
-	if cfg != rec.cfg || maxInstr != rec.maxInstr || (prog != rec.prog && !reflect.DeepEqual(prog, rec.prog)) {
-		panic("defense: replay of a recording made for another run")
-	}
-	return rec.Gate(fl).Run(dcfg)
 }

@@ -55,8 +55,8 @@ func TestRecordMatchesNeverOn(t *testing.T) {
 
 // TestReplayEquivalence: for every workload, every secure policy and a
 // planted flagger whose first flag is at no window, the first, a middle or
-// the last one, Replay returns RunProgram's Result exactly. One recording
-// per workload serves every policy.
+// the last one, the gated run returns RunProgram's Result exactly. One
+// recording per workload serves every policy.
 func TestReplayEquivalence(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	for wi, w := range workload.All() {
@@ -75,8 +75,8 @@ func TestReplayEquivalence(t *testing.T) {
 				name := fmt.Sprintf("%s/flag@%d/%s", w.Name, at, pol)
 				dcfg := replayConfig(pol)
 				want := RunProgram(cfg, prog, flagAt(start), dcfg, replayInstr)
-				if got := Replay(rec, cfg, prog, flagAt(start), dcfg, replayInstr); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: Replay differs from RunProgram", name)
+				if got := rec.Gate(flagAt(start)).Run(dcfg); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: the gated run differs from RunProgram", name)
 				}
 				if g := rec.Gate(flagAt(start)); g.FirstFlag() != at {
 					t.Fatalf("%s: first flag at window %d, want %d", name, g.FirstFlag(), at)
@@ -89,42 +89,31 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsAnotherRun: a recording replays only the run it
-// recorded; any difference in what defines that run panics.
+// TestReplayRejectsAnotherRun: a recording gates runs only at the sampling
+// cadence and quantum it recorded; either difference panics.
 func TestReplayRejectsAnotherRun(t *testing.T) {
-	cfg := sim.DefaultConfig()
 	dcfg := replayConfig(sim.PolicyFenceAfterBranch)
-	prog := benignProg()
-	rec := Record(cfg, prog, dcfg, replayInstr)
+	rec := Record(sim.DefaultConfig(), benignProg(), dcfg, replayInstr)
 
-	otherCfg := cfg
-	otherCfg.ROBEntries /= 2
 	slowQuantum, otherInterval := dcfg, dcfg
 	slowQuantum.Quantum *= 2
 	otherInterval.SampleInterval *= 2
 	cases := []struct {
 		name string
-		run  func()
+		dcfg Config
 	}{
-		{"config", func() { Replay(rec, otherCfg, prog, NeverOn, dcfg, replayInstr) }},
-		{"maxInstr", func() { Replay(rec, cfg, prog, NeverOn, dcfg, replayInstr+1) }},
-		{"program", func() { Replay(rec, cfg, workload.Stream(2, 2), NeverOn, dcfg, replayInstr) }},
-		{"quantum", func() { Replay(rec, cfg, prog, NeverOn, slowQuantum, replayInstr) }},
-		{"interval", func() { Replay(rec, cfg, prog, NeverOn, otherInterval, replayInstr) }},
+		{"quantum", slowQuantum},
+		{"interval", otherInterval},
 	}
 	for _, c := range cases {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Replay with a different %s did not panic", c.name)
+					t.Errorf("a gated run with a different %s did not panic", c.name)
 				}
 			}()
-			c.run()
+			rec.Gate(NeverOn).Run(c.dcfg)
 		}()
-	}
-	// An equal but separately built program is the same run.
-	if got := Replay(rec, cfg, benignProg(), NeverOn, dcfg, replayInstr); !reflect.DeepEqual(got, rec.Result()) {
-		t.Fatal("replay with an equal program differs from the recording")
 	}
 }
 
@@ -153,7 +142,7 @@ func medianFlagger(rec *Recording) *DetectorFlagger {
 	return testFlagger(scores[len(scores)/2])
 }
 
-// TestDetectorFlaggerIsPure: the Flagger contract Replay relies on. A
+// TestDetectorFlaggerIsPure: the Flagger contract Gate.Run relies on. A
 // DetectorFlagger gives each recorded window the same verdict scored
 // forwards, in reverse, and a second time.
 func TestDetectorFlaggerIsPure(t *testing.T) {

@@ -8,8 +8,9 @@ import (
 )
 
 // The steady-state scoring path — gather base features, extend with
-// engineered features, forward through the network — must not allocate:
-// the online defense controller calls it once per sampling window.
+// engineered features, forward through the network, or the fused kernel a
+// trained detector carries — must not allocate: the online defense
+// controller calls it once per sampling window.
 func TestScoreZeroAlloc(t *testing.T) {
 	fs := EVAXBase()
 	fs.SetEngineered(DefaultEngineered(fs))
@@ -26,6 +27,13 @@ func TestScoreZeroAlloc(t *testing.T) {
 	d.ScoreBase(base)
 	if n := testing.AllocsPerRun(100, func() { d.ScoreBase(base) }); n != 0 {
 		t.Errorf("ScoreBase allocates %v times per call, want 0", n)
+	}
+	d.compileKernel()
+	if n := testing.AllocsPerRun(100, func() { d.Score(derived) }); n != 0 {
+		t.Errorf("kernel Score allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.ScoreBase(base) }); n != 0 {
+		t.Errorf("kernel ScoreBase allocates %v times per call, want 0", n)
 	}
 }
 

@@ -143,13 +143,6 @@ func (p *FeaturePlan) GatherVector(dst, derived []float64) {
 	p.ExtendInto(dst)
 }
 
-// Vector is Base followed by Extend.
-func (p *FeaturePlan) Vector(derived []float64) []float64 {
-	out := make([]float64, p.Dim())
-	p.GatherVector(out, derived)
-	return out
-}
-
 // GatherBatch gathers base features for every listed sample into one
 // contiguous block, returning row views (the batch form detector training
 // and the GAN corpus builders use). The output block is the only
@@ -309,13 +302,12 @@ type Detector struct {
 	// calls so the steady-state score path allocates nothing.
 	scratch []float64
 
-	// kern caches the fused derived-space kernel (kernel.Scorer) compiled
-	// from the plan and weights on first score; deep detectors leave it nil
-	// and keep the network path. The kernel snapshots weights, so
-	// TrainVectors invalidates it. Clones share it: the derived-space
-	// kernel entry points are stateless.
-	kern      *kernel.Scorer
-	kernTried bool
+	// kern is the fused derived-space kernel (kernel.Scorer) compiled from
+	// the plan and weights when TrainVectors ends or Unmarshal decodes the
+	// detector. Deep and untrained detectors leave it nil and score through
+	// the network, which gives the same bits. Clones share it: the
+	// derived-space kernel entry points are stateless.
+	kern *kernel.Scorer
 }
 
 // buf returns the detector's input scratch, sized to the plan.
@@ -333,8 +325,7 @@ func (d *Detector) buf() []float64 {
 // parallel campaigns clone the shared detector per job instead. The plan is
 // shared (immutable after assembly); only scratch is per-clone.
 func (d *Detector) Clone() *Detector {
-	return &Detector{Plan: d.Plan, Net: d.Net.Clone(), Threshold: d.Threshold,
-		kern: d.kern, kernTried: d.kernTried}
+	return &Detector{Plan: d.Plan, Net: d.Net.Clone(), Threshold: d.Threshold, kern: d.kern}
 }
 
 // NewPerceptron builds the HW-friendly single-layer detector (the
@@ -370,7 +361,7 @@ func (d *Detector) ScoreVector(x []float64) float64 { return d.Net.Forward(x)[0]
 // the fused kernel (bit-identical to the gather+forward path); deep ones
 // through the network.
 func (d *Detector) ScoreBase(base []float64) float64 {
-	if k := d.derivedKernel(); k != nil {
+	if k := d.kern; k != nil {
 		return k.ScoreBase(base)
 	}
 	x := d.buf()
@@ -387,7 +378,7 @@ func (d *Detector) ScoreBase(base []float64) float64 {
 //
 //evaxlint:hotpath
 func (d *Detector) Score(derived []float64) float64 {
-	if k := d.derivedKernel(); k != nil {
+	if k := d.kern; k != nil {
 		return k.ScoreDerived(derived)
 	}
 	x := d.buf()
@@ -429,8 +420,6 @@ func (d *Detector) TrainVectors(base [][]float64, labels []bool, o TrainOptions)
 	if len(base) == 0 {
 		return
 	}
-	// Training mutates the network; the cached kernel snapshot is stale.
-	d.invalidateKernel()
 	pos, neg := 0, 0
 	for _, l := range labels {
 		if l {
@@ -482,6 +471,7 @@ func (d *Detector) TrainVectors(base [][]float64, labels []bool, o TrainOptions)
 			}
 		}
 	}
+	d.compileKernel()
 }
 
 // Train trains on dataset samples selected by idx (base vectors gathered

@@ -70,8 +70,9 @@ func TestVectorSelection(t *testing.T) {
 	if len(fs.Engineered()) != 0 {
 		t.Fatal("engineered resolved against bogus names")
 	}
-	v := fs.Vector(derived)
-	if len(v) != 2 {
+	v := make([]float64, fs.Dim())
+	fs.GatherVector(v, derived)
+	if len(v) != 2 || v[0] != 30 || v[1] != 10 {
 		t.Fatalf("vector = %v", v)
 	}
 }
@@ -267,6 +268,7 @@ func TestScoreBaseAndVectorAgree(t *testing.T) {
 	fs := EVAXBase()
 	fs.SetEngineered(DefaultEngineered(fs))
 	d := NewPerceptron(9, fs)
+	d.compileKernel() // as training would: Score and ScoreBase take the kernel
 	rng := rand.New(rand.NewSource(8))
 	derived := make([]float64, hpc.DerivedSpaceSize(sim.CounterCatalog().Len()))
 	for i := range derived {
@@ -275,7 +277,9 @@ func TestScoreBaseAndVectorAgree(t *testing.T) {
 	if d.Score(derived) != d.ScoreBase(fs.Base(derived)) {
 		t.Fatal("Score and ScoreBase disagree")
 	}
-	if d.ScoreVector(fs.Vector(derived)) != d.Score(derived) {
+	v := make([]float64, fs.Dim())
+	fs.GatherVector(v, derived)
+	if d.ScoreVector(v) != d.Score(derived) {
 		t.Fatal("ScoreVector and Score disagree")
 	}
 }

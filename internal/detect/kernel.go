@@ -1,7 +1,7 @@
 // Fused-kernel integration: detect compiles its FeaturePlan + model into a
 // kernel.Scorer (the package boundary runs this direction — kernel must not
 // import detect), wraps every detector as a kernel.Backend for the online
-// consumers, caches a derived-space kernel per detector, and exposes the
+// consumers, keeps a derived-space kernel per detector, and exposes the
 // batch scoring entry points the experiment drivers use.
 package detect
 
@@ -136,24 +136,13 @@ func (b *netBackend) CloneBackend() kernel.Backend {
 	return &netBackend{det: b.det.Clone(), norm: b.norm, exp: b.exp, derived: make([]float64, len(b.derived))}
 }
 
-// derivedKernel returns the detector's cached derived-space kernel, compiling
-// it on first use. Deep detectors return nil and score through ml.Network.
-// TrainVectors invalidates the cache (the kernel snapshots weights).
-func (d *Detector) derivedKernel() *kernel.Scorer {
-	if d.kernTried {
-		return d.kern
-	}
-	d.kernTried = true
-	if s, err := CompileScorer(d, nil); err == nil { //evaxlint:ignore hotpath one-time lazy compile; steady-state scoring reuses the kernel
+// compileKernel snapshots the detector's weights into its derived-space
+// kernel. Deep detectors get none and score through ml.Network.
+func (d *Detector) compileKernel() {
+	d.kern = nil
+	if s, err := CompileScorer(d, nil); err == nil {
 		d.kern = s
 	}
-	return d.kern
-}
-
-// invalidateKernel drops the cached kernel after a weight mutation.
-func (d *Detector) invalidateKernel() {
-	d.kern = nil
-	d.kernTried = false
 }
 
 // ScoreBatch scores the dataset samples at idx into out (len(out) ==
@@ -165,7 +154,7 @@ func (d *Detector) ScoreBatch(ds *dataset.Dataset, idx []int, out []float64) {
 	if len(out) != len(idx) {
 		panic(fmt.Sprintf("detect: ScoreBatch out %d vs idx %d", len(out), len(idx)))
 	}
-	if k := d.derivedKernel(); k != nil {
+	if k := d.kern; k != nil {
 		for j, i := range idx {
 			out[j] = k.ScoreDerived(ds.Samples[i].Derived)
 		}

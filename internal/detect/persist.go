@@ -180,7 +180,9 @@ func Unmarshal(data []byte) (*Detector, error) {
 		}
 		copy(nl.B, l.B)
 	}
-	return &Detector{Plan: plan, Net: net, Threshold: sd.Threshold}, nil
+	d := &Detector{Plan: plan, Net: net, Threshold: sd.Threshold}
+	d.compileKernel()
+	return d, nil
 }
 
 // Load reads a detector saved by Save, with the same patch validation as

@@ -86,8 +86,7 @@ func (c ManagerConfig) gate() float64 {
 
 // SwapReport records one promotion attempt end to end. Hashes and digests
 // are rendered as fixed-width hex strings: the report travels through JSON
-// (admin frames, BENCH_runner.json), where raw uint64s would lose precision
-// past 2^53.
+// in admin frames, where raw uint64s would lose precision past 2^53.
 type SwapReport struct {
 	// CandidatePath is the bundle file the candidate came from ("" for
 	// in-memory candidates).

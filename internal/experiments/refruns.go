@@ -45,9 +45,9 @@ func gatingConfig(interval uint64, policy sim.Policy) defense.Config {
 // 16: unprotected baselines, NeverOn recordings and always-on runs. None
 // depends on a trained detector, so with a core to spare NewLab runs them in
 // the background during training, and the figures only replay detector
-// scoring over the recordings (see defense.Replay). A gated run falls back
-// to a full protected simulation only when its detector flags a recorded
-// window.
+// scoring over the recordings (see defense.Recording.Gate). A gated run
+// falls back to a full protected simulation only when its detector flags a
+// recorded window.
 
 // benignRef is one suite workload's reference runs for both figures.
 type benignRef struct {

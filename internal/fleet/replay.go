@@ -47,8 +47,6 @@ type ReplayReport struct {
 	Hash    uint64 `json:"-"`
 	// ShardRows[i] is how many rows the ring routed to shard i.
 	ShardRows []int `json:"shard_rows"`
-	// ShardRates[i] is shard i's scoring rate over the replay (rows/sec).
-	ShardRates []float64 `json:"shard_rates"`
 	// Skew is max shard load over mean shard load (1.0 = perfectly even).
 	Skew float64 `json:"skew"`
 	// MeanRate is the fleet-wide scoring rate (rows/sec).
@@ -132,12 +130,8 @@ func (f *Fleet) Replay(samples []dataset.Sample, opt ReplayOptions) (ReplayRepor
 	rep.Flagged = d.Flagged()
 	rep.Hash = d.Sum()
 	rep.Skew = Skew(rep.ShardRows)
-	rep.ShardRates = make([]float64, f.Shards())
 	if elapsed > 0 {
 		rep.MeanRate = float64(rep.Rows) / elapsed
-		for i, n := range rep.ShardRows {
-			rep.ShardRates[i] = float64(n) / elapsed
-		}
 	}
 	for i := range shardDigests {
 		f.bus.Verdicts.Publish(VerdictAggregate{

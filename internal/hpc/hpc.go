@@ -267,21 +267,11 @@ func DerivedName(cat *Catalog, j int) string {
 	return cat.Name(base) + "." + derivedNames[kind]
 }
 
-// ExpandDerived computes the derived feature vector for a sample. The
-// result has DerivedSpaceSize(len(s.Values)) entries. It allocates a fresh
-// row per call and serves as the reference implementation the compiled
-// Expander must match bit-for-bit; hot paths use Expander.ExpandInto.
-func ExpandDerived(s Sample) []float64 {
-	out := make([]float64, DerivedSpaceSize(len(s.Values)))
-	NewExpander(len(s.Values)).ExpandInto(out, s)
-	return out
-}
-
 // Expander is the derived-view expansion compiled into an executable plan:
 // one (source index, op) pair per output slot, fixed at construction. Apply
 // is a single slot loop into a caller-provided row — no name lookups, no
 // per-sample allocation. The float formulas are identical to the historical
-// per-counter expansion, so outputs are bit-identical to ExpandDerived.
+// per-counter expansion (TestExpanderMatchesReference writes them out).
 type Expander struct {
 	n   int
 	src []int32       // per output slot: base counter index

@@ -182,7 +182,8 @@ func TestExpandDerived(t *testing.T) {
 		Instructions: 1000,
 		Cycles:       500,
 	}
-	out := ExpandDerived(s)
+	out := make([]float64, DerivedSpaceSize(2))
+	NewExpander(2).ExpandInto(out, s)
 	if len(out) != DerivedSpaceSize(2) {
 		t.Fatalf("len = %d, want %d", len(out), DerivedSpaceSize(2))
 	}
@@ -267,15 +268,48 @@ func randomSample(n int, seed uint64) Sample {
 	return Sample{Values: vals, Instructions: 1000 + seed%5000, Cycles: 2000 + seed%9000}
 }
 
+// referenceExpand is the derived expansion written out per counter: the
+// window's summed events, instructions in thousands and cycles (the last
+// two guarded to 1 for an empty window), then the seven views of each
+// counter in kind order.
+func referenceExpand(s Sample) []float64 {
+	var total float64
+	for _, v := range s.Values {
+		total += v
+	}
+	instrK, cyc := float64(s.Instructions)/1000, float64(s.Cycles)
+	if s.Instructions == 0 {
+		instrK = 1
+	}
+	if s.Cycles == 0 {
+		cyc = 1
+	}
+	out := make([]float64, 0, DerivedSpaceSize(len(s.Values)))
+	for _, v := range s.Values {
+		presence, share := 0.0, 0.0
+		if v > 0 {
+			presence = 1
+		}
+		if total > 0 {
+			share = v / total
+		}
+		out = append(out, v, v/instrK, v/cyc, v*v/cyc, presence, Log2p1(v), share)
+	}
+	return out
+}
+
 func TestExpanderMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 115} {
 		e := NewExpander(n)
 		if e.Dim() != DerivedSpaceSize(n) {
 			t.Fatalf("n=%d: Dim = %d, want %d", n, e.Dim(), DerivedSpaceSize(n))
 		}
-		for seed := uint64(1); seed <= 5; seed++ {
+		for seed := uint64(1); seed <= 6; seed++ {
 			s := randomSample(n, seed*2654435761)
-			want := ExpandDerived(s)
+			if seed == 6 {
+				s.Instructions, s.Cycles = 0, 0 // an empty window takes the guards
+			}
+			want := referenceExpand(s)
 			got := make([]float64, e.Dim())
 			for i := range got {
 				got[i] = math.NaN() // dirty row: every slot must be written

@@ -66,10 +66,12 @@ func benignScores(det *detect.Detector, ds *dataset.Dataset) []float64 {
 }
 
 // referenceScore is the historical three-pass scoring path, bypassing the
-// detector's kernel cache: full plan execution into a fresh vector, then the
+// detector's kernel: full plan execution into a fresh vector, then the
 // network forward pass.
 func referenceScore(det *detect.Detector, derived []float64) float64 {
-	return det.ScoreVector(det.Plan.Vector(derived))
+	x := make([]float64, det.Plan.Dim())
+	det.Plan.GatherVector(x, derived)
+	return det.ScoreVector(x)
 }
 
 // The fused raw entry point must be bit-identical to the legacy pipeline:

@@ -80,8 +80,8 @@ func (c *conn) handleAdmin(payload []byte) {
 
 // Admin sends one live-vaccination operation and waits for its result. The
 // connection must be quiescent (no samples in flight): the next inbound
-// frame is consumed as the admin answer. evaxload's swap-mid-run mode and
-// evaxd's -swap-now path dial a dedicated connection for this.
+// frame is consumed as the admin answer. perfbench's swap phase and the
+// hot-swap tests dial a dedicated connection for this.
 func (c *Client) Admin(a Admin) (AdminResult, error) {
 	if err := c.writeFrame(AppendAdmin(c.buf[:0], a)); err != nil {
 		return AdminResult{}, fmt.Errorf("serve: sending admin: %w", err)

@@ -9,8 +9,9 @@ import (
 )
 
 // Client speaks the framing protocol from the client side. It is used by the
-// evaxload harness and the integration tests; it is not safe for concurrent
-// use of the same side (one goroutine may send while another receives).
+// resilient client (serve/client), perfbench and the integration tests; it
+// is not safe for concurrent use of the same side (one goroutine may send
+// while another receives).
 type Client struct {
 	nc  net.Conn
 	br  *bufio.Reader

@@ -2,7 +2,6 @@ package client
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"evax/internal/engine"
@@ -54,20 +53,6 @@ type ChaosReport struct {
 	Flagged int
 	// Events are the injected faults in canonical (client, attempt) order.
 	Events []netfault.Event
-	// LatencyP50Ms / LatencyP99Ms are fleet-wide submit-to-verdict round
-	// trips; under faults the p99 is the recovery latency — reconnect,
-	// resume, replay, re-deliver.
-	LatencyP50Ms float64
-	LatencyP99Ms float64
-}
-
-// Totals sums a stat across the fleet via the supplied accessor.
-func (r *ChaosReport) Totals(f func(Stats) uint64) uint64 {
-	var n uint64
-	for i := range r.Reports {
-		n += f(r.Reports[i].Stats)
-	}
-	return n
 }
 
 // RunChaos streams work[i] through resilient client i — each wrapped by the
@@ -107,28 +92,16 @@ func RunChaos(cfg ChaosConfig, work [][]Sample) (*ChaosReport, error) {
 		return nil, err
 	}
 	d := engine.NewDigest()
-	var lats []time.Duration
 	for i := range reports {
 		for _, v := range reports[i].Verdicts {
 			d.Add(v.Score, v.Flagged())
 		}
-		lats = append(lats, reports[i].Latencies...)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rep := &ChaosReport{
+	return &ChaosReport{
 		Reports: reports,
 		Digest:  d.Sum(),
 		Rows:    d.Rows(),
 		Flagged: d.Flagged(),
 		Events:  sched.Events.Sorted(),
-	}
-	if len(lats) > 0 {
-		rep.LatencyP50Ms = float64(lats[int(0.50*float64(len(lats)))]) / 1e6
-		i99 := int(0.99 * float64(len(lats)))
-		if i99 >= len(lats) {
-			i99 = len(lats) - 1
-		}
-		rep.LatencyP99Ms = float64(lats[i99]) / 1e6
-	}
-	return rep, nil
+	}, nil
 }

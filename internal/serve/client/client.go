@@ -1,6 +1,5 @@
-// Package client is the resilient serving client: the production dial loop
-// extracted from evaxload's prototype and hardened for lossy networks. It
-// layers four mechanisms over the bare serve.Client:
+// Package client is the resilient serving client: a dial loop hardened for
+// lossy networks. It layers four mechanisms over the bare serve.Client:
 //
 //   - per-request deadlines: every network wait is bounded, so a dead peer
 //     costs at most RequestTimeout before recovery begins;
@@ -142,22 +141,6 @@ type Report struct {
 	Conn serve.ConnStats
 	// Verdicts holds one verdict per submitted sample, in sequence order.
 	Verdicts []serve.Verdict
-	// Latencies holds each sample's submit-to-verdict round trip, sorted
-	// ascending — under faults this includes every reconnect and replay a
-	// sample survived, so its tail is the recovery latency.
-	Latencies []time.Duration
-}
-
-// Percentile reads the p-quantile (0..1) from the sorted latency list.
-func (r *Report) Percentile(p float64) time.Duration {
-	if len(r.Latencies) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(r.Latencies)))
-	if i >= len(r.Latencies) {
-		i = len(r.Latencies) - 1
-	}
-	return r.Latencies[i]
 }
 
 // pending is a submitted sample retained until its verdict arrives.
@@ -166,7 +149,6 @@ type pending struct {
 	instructions uint64
 	cycles       uint64
 	raw          []float64
-	at           time.Time // submit time, for end-to-end latency accounting
 }
 
 // Client streams samples to one server with exactly-once verdict
@@ -180,7 +162,6 @@ type Client struct {
 	instr   uint64
 	pend    map[uint64]pending
 	got     map[uint64]serve.Verdict
-	lats    []time.Duration
 	stats   Stats
 
 	attempt     int // lifetime connection attempts, the jitter index
@@ -222,7 +203,6 @@ func (c *Client) Submit(instructions, cycles uint64, raw []float64) error {
 		instructions: instructions,
 		cycles:       cycles,
 		raw:          append([]float64(nil), raw...),
-		at:           time.Now(),
 	}
 	c.pend[p.h.Seq] = p
 	c.seq++
@@ -295,8 +275,7 @@ func (c *Client) Finish() (Report, error) {
 		verdicts = append(verdicts, v)
 	}
 	sort.Slice(verdicts, func(i, j int) bool { return verdicts[i].Seq < verdicts[j].Seq })
-	sort.Slice(c.lats, func(i, j int) bool { return c.lats[i] < c.lats[j] })
-	return Report{Session: c.session, Stats: c.stats, Conn: st, Verdicts: verdicts, Latencies: c.lats}, nil
+	return Report{Session: c.session, Stats: c.stats, Conn: st, Verdicts: verdicts}, nil
 }
 
 // drop discards the current connection; the next ensureConn reconnects and
@@ -478,13 +457,11 @@ func (c *Client) pump() error {
 				c.drop()
 				continue
 			}
-			p, ok := c.pend[v.Seq]
-			if !ok {
+			if _, ok := c.pend[v.Seq]; !ok {
 				continue // duplicate re-delivery of an already-recorded verdict
 			}
 			delete(c.pend, v.Seq)
 			c.got[v.Seq] = v
-			c.lats = append(c.lats, time.Since(p.at))
 			c.stats.Verdicts++
 			return nil
 		case serve.FramePong:

@@ -217,6 +217,7 @@ func (c *conn) handleSample(payload []byte) {
 	}
 	if sess := c.sess; sess != nil {
 		sess.mu.Lock()
+		undo := sess.undoFor(h.Seq)
 		verdict, stored := sess.admit(h.Seq)
 		switch verdict {
 		case admitDup:
@@ -243,7 +244,7 @@ func (c *conn) handleSample(payload []byte) {
 			return
 		}
 		// admitFresh: the slot is marked inflight; enqueue while still
-		// holding the lock so an overload reject can roll the slot back
+		// holding the lock so an overload reject can roll the admit back
 		// before any replay of the same seq can observe it.
 		select {
 		case c.shard.ch <- req:
@@ -252,7 +253,7 @@ func (c *conn) handleSample(payload []byte) {
 			c.accepted++
 			c.srv.met.accepted.Add(1)
 		default:
-			sess.ring[h.Seq%sess.window] = sessEntry{}
+			sess.rollback(h.Seq, undo)
 			sess.rejected++
 			sess.mu.Unlock()
 			c.srv.putRow(row)

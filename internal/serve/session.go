@@ -105,6 +105,29 @@ func (s *session) admit(seq uint64) (admitVerdict, Verdict) {
 	return admitFresh, Verdict{}
 }
 
+// admitUndo is the ring state a fresh admit of one seq may overwrite: the
+// seq's slot and the high-water mark.
+type admitUndo struct {
+	slot     sessEntry
+	high     uint64
+	admitted bool
+}
+
+// undoFor saves what admitting seq would overwrite. Caller must hold s.mu.
+func (s *session) undoFor(seq uint64) admitUndo {
+	return admitUndo{slot: s.ring[seq%s.window], high: s.high, admitted: s.admitted}
+}
+
+// rollback undoes a fresh admit of seq that the shard queue refused, so seq
+// counts as never seen: it no longer moves the stale threshold or the resume
+// ack's High, and the slot it overwrote serves its old tenant again. Caller
+// must hold s.mu from undoFor through admit to here.
+func (s *session) rollback(seq uint64, u admitUndo) {
+	s.ring[seq%s.window] = u.slot
+	s.high = u.high
+	s.admitted = u.admitted
+}
+
 // store records a computed verdict in the dedup ring (if the slot still
 // belongs to seq) and reports whether a duplicate asked for re-delivery.
 // Caller must hold s.mu.

@@ -73,6 +73,7 @@ func TestSessionRingMatchesModel(t *testing.T) {
 				continue
 			}
 			seq := pickSeq(rng, m)
+			undo := s.undoFor(seq)
 			got, stored := s.admit(seq)
 			e := m.seqs[seq]
 			var want admitVerdict
@@ -95,16 +96,16 @@ func TestSessionRingMatchesModel(t *testing.T) {
 				if fresh[seq]++; fresh[seq] > 1 {
 					fail(step, "seq %d admitted fresh twice", seq)
 				}
-				if !m.admitted || seq > m.high {
-					m.high, m.admitted = seq, true
-				}
 				if rng.Intn(8) == 0 {
-					// Overload reject: the reader rolls the slot back under
+					// Overload reject: the reader rolls the admit back under
 					// the same lock hold, and the seq counts as never seen.
-					s.ring[seq%s.window] = sessEntry{}
+					s.rollback(seq, undo)
 					fresh[seq]--
 					rollbacks++
 					continue
+				}
+				if !m.admitted || seq > m.high {
+					m.high, m.admitted = seq, true
 				}
 				m.seqs[seq] = &refEntry{}
 				pending = append(pending, seq)

@@ -359,3 +359,64 @@ func TestShedVerdictCountedAndReplayable(t *testing.T) {
 		t.Fatalf("stats frame %+v, want shed 1, scored 1, dupes 1, resent 1", *stats)
 	}
 }
+
+// TestOverloadRollbackRestoresHigh: a fresh sequence number the shard queue
+// refuses counts as never seen. The resume ack's High stays at the last seq
+// the queue took, and the slot that seq overwrote in the dedup ring comes
+// back, so a replay of the queued seq is still a duplicate, not stale and
+// not scored twice. The test drives one shard by hand on a server that was
+// never started, so nothing drains the one-slot queue.
+func TestOverloadRollbackRestoresHigh(t *testing.T) {
+	det, ds, samples := lab(t)
+	cfg := DefaultConfig()
+	cfg.Shards = 1
+	cfg.QueueBound = 1
+	cfg.SessionWindow = 4
+	srv, err := New(det, ds, len(samples[0].Raw), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &conn{id: 1, srv: srv, out: make(chan []byte, outQueueDepth)}
+	ack, err := srv.attachSession(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &samples[0]
+	send := func(seq uint64) {
+		t.Helper()
+		fr, _, err := DecodeFrame(AppendSample(nil, SampleHeader{Seq: seq}, s.Instructions, s.Cycles, s.Raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.handleSample(fr.Payload)
+	}
+	send(0) // fills the queue
+	send(4) // same ring slot as 0, refused for overload
+	if len(c.shard.ch) != 1 {
+		t.Fatalf("shard queue holds %d samples, want 1", len(c.shard.ch))
+	}
+	fr, _, err := DecodeFrame(<-c.out)
+	if err != nil || fr.Type != FrameReject {
+		t.Fatalf("seq 4 answered with frame type 0x%02x (%v), want a reject", fr.Type, err)
+	}
+	if r, err := DecodeReject(fr.Payload); err != nil || r.Seq != 4 || r.Code != RejectOverload {
+		t.Fatalf("reject %+v (%v), want an overload reject of seq 4", r, err)
+	}
+
+	c2 := &conn{id: 2, srv: srv, out: make(chan []byte, outQueueDepth)}
+	ack2, err := srv.attachSession(c2, ack.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack2.High != 0 {
+		t.Fatalf("resume ack high = %d after seq 4 was refused, want 0", ack2.High)
+	}
+	c = c2
+	send(0)
+	if len(c.shard.ch) != 1 || len(c.out) != 0 {
+		t.Fatalf("replay of in-flight seq 0: queue %d, out %d, want a silent duplicate", len(c.shard.ch), len(c.out))
+	}
+	if dupes := srv.Metrics().Snapshot().Dupes; dupes != 1 {
+		t.Fatalf("dupes = %d, want 1", dupes)
+	}
+}
