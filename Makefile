@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint vet-portable bench bench-sim bench-train fuzz check fmt
+.PHONY: build test race lint vet-portable bench bench-sim bench-train fuzz perfbench-check check fmt
 
 build: ## compile every package
 	$(GO) build ./...
@@ -42,6 +42,9 @@ fuzz: ## 5 s mutation pass over every fuzz target in the module
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s "$$pkg"; \
 		done; \
 	done
+
+perfbench-check: ## build, vet and test the benchmark module, which imports this one through its replace
+	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 fmt: ## rewrite sources with gofmt
 	gofmt -w .

@@ -21,8 +21,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -34,31 +36,52 @@ import (
 )
 
 func main() {
-	var (
-		bundle   = flag.String("bundle", "", "detection bundle (detector + normalizer) from evaxtrain -bundle")
-		shards   = flag.Int("shards", 2, "detection shards to host (each its own listener)")
-		replicas = flag.Int("replicas", 0, "virtual nodes per shard on the routing ring (0 = default)")
-		backend  = flag.String("backend", serve.BackendFloat, "scoring kernel: \"float\" or \"quantized\"")
-		stateDir = flag.String("state", "", "per-shard generation state root (shard i persists under <state>/shard-<i>)")
-		canary   = flag.String("canary", "", "golden corpus shard managers canary-score candidates against")
-		beat     = flag.Duration("beat", fleet.DefaultProbeInterval, "coordinator heartbeat interval")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		replay  = flag.String("replay", "", "replay a recorded corpus through the fleet instead of serving")
-		tenants = flag.Int("tenants", fleet.DefaultTenants, "concurrent tenant streams in replay mode")
-		seed    = flag.Int64("seed", 1, "tenant routing seed; the merged digest is identical for every seed")
-		swap    = flag.String("swap", "", "fan this candidate bundle across all shards (mid-replay in replay mode)")
+// run is main with its arguments and output streams injected, so the flag
+// and exit-code contract is testable: 0 after -h or a clean drain or replay,
+// 2 for a flag that does not parse, 1 for any other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("evaxfleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		bundle   = fs.String("bundle", "", "detection bundle (detector + normalizer) from evaxtrain -bundle")
+		shards   = fs.Int("shards", 2, "detection shards to host (each its own listener)")
+		replicas = fs.Int("replicas", 0, "virtual nodes per shard on the routing ring (0 = default)")
+		backend  = fs.String("backend", serve.BackendFloat, "scoring kernel: \"float\" or \"quantized\"")
+		stateDir = fs.String("state", "", "per-shard generation state root (shard i persists under <state>/shard-<i>)")
+		canary   = fs.String("canary", "", "golden corpus shard managers canary-score candidates against")
+		beat     = fs.Duration("beat", fleet.DefaultProbeInterval, "coordinator heartbeat interval")
+
+		replay  = fs.String("replay", "", "replay a recorded corpus through the fleet instead of serving")
+		tenants = fs.Int("tenants", fleet.DefaultTenants, "concurrent tenant streams in replay mode")
+		seed    = fs.Int64("seed", 1, "tenant routing seed; the merged digest is identical for every seed")
+		swap    = fs.String("swap", "", "fan this candidate bundle across all shards (mid-replay in replay mode)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return 1
+	}
 
 	if !engine.ValidBackend(*backend) {
-		fatalf("evaxfleet: unknown -backend %q (want %q or %q)", *backend, serve.BackendFloat, serve.BackendQuantized)
+		return fail("evaxfleet: unknown -backend %q (want %q or %q)", *backend, serve.BackendFloat, serve.BackendQuantized)
 	}
 	if *bundle == "" {
-		fatalf("evaxfleet: -bundle is required (train one with: evaxtrain -quick -bundle patch.json)")
+		return fail("evaxfleet: -bundle is required (train one with: evaxtrain -quick -bundle patch.json)")
+	}
+	if *shards <= 0 {
+		return fail("evaxfleet: -shards must be positive, got %d", *shards)
 	}
 	data, err := os.ReadFile(*bundle)
 	if err != nil {
-		fatalf("evaxfleet: %v", err)
+		return fail("evaxfleet: %v", err)
 	}
 
 	cfg := fleet.Config{
@@ -71,82 +94,85 @@ func main() {
 	if *canary != "" {
 		corpus, err := dataset.ReadCorpusFile(*canary)
 		if err != nil {
-			fatalf("evaxfleet: canary corpus: %v", err)
+			return fail("evaxfleet: canary corpus: %v", err)
 		}
 		cfg.Corpus = corpus
 	}
 
 	fl, err := fleet.New(data, cfg)
 	if err != nil {
-		fatalf("evaxfleet: %v", err)
+		return fail("evaxfleet: %v", err)
 	}
 	if err := fl.Start(); err != nil {
-		fatalf("evaxfleet: %v", err)
+		return fail("evaxfleet: %v", err)
 	}
 	active := fl.Managers()[0].Active()
-	fmt.Printf("evaxfleet: %d shards, bundle hash=%s backend=%s rawDim=%d\n",
+	fmt.Fprintf(stdout, "evaxfleet: %d shards, bundle hash=%s backend=%s rawDim=%d\n",
 		fl.Shards(), active.HashHex(), active.Backend(), active.RawDim())
 	for i, addr := range fl.Addrs() {
-		fmt.Printf("evaxfleet: shard %d on %s\n", i, addr)
+		fmt.Fprintf(stdout, "evaxfleet: shard %d on %s\n", i, addr)
 	}
 
 	coord := fleet.NewCoordinator(fl.Members(), *beat, fl.Bus())
 
 	if *replay != "" {
 		//evaxlint:ignore goroutine runReplay's swap goroutine is joined on swapDone before it returns
-		runReplay(fl, coord, *replay, *tenants, *seed, *swap)
-		return
+		if err := runReplay(stdout, stderr, fl, coord, *replay, *tenants, *seed, *swap); err != nil {
+			return fail("evaxfleet: %v", err)
+		}
+		return 0
 	}
 
 	coord.Start()
 	if *swap != "" {
 		rep, err := coord.SwapAll(*swap)
-		reportSwap(rep, err)
+		reportSwap(stdout, stderr, rep, err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
 
-	fmt.Println("evaxfleet: draining...")
+	fmt.Fprintln(stdout, "evaxfleet: draining...")
 	coord.Stop()
 	snaps, err := fl.Drain()
 	if err != nil {
-		fatalf("evaxfleet: drain: %v", err)
+		return fail("evaxfleet: drain: %v", err)
 	}
 	for _, snap := range snaps {
 		out, jerr := json.Marshal(snap)
 		if jerr == nil {
-			fmt.Printf("evaxfleet: shard %d drained: %s\n", snap.Shard, out)
+			fmt.Fprintf(stdout, "evaxfleet: shard %d drained: %s\n", snap.Shard, out)
 		}
 	}
+	return 0
 }
 
 // runReplay streams a recorded corpus through the fleet and prints the
-// merged digest. With -swap, the candidate is fanned fleet-wide after the
-// first tenant's first hundred sends — a mid-replay swap that must drop
+// merged digest. With -swap, the candidate is fanned fleet-wide halfway
+// through the first tenant's rows — a mid-replay swap that must drop
 // nothing and land every shard on the same epoch.
-func runReplay(fl *fleet.Fleet, coord *fleet.Coordinator, corpusPath string, tenants int, seed int64, swapPath string) {
+func runReplay(stdout, stderr io.Writer, fl *fleet.Fleet, coord *fleet.Coordinator, corpusPath string, tenants int, seed int64, swapPath string) error {
 	samples, err := dataset.ReadCorpusFile(corpusPath)
 	if err != nil {
-		fatalf("evaxfleet: %v", err)
+		return err
 	}
 	opt := fleet.ReplayOptions{Tenants: tenants, Seed: seed}
 	swapDone := make(chan struct{})
 	if swapPath != "" {
-		// Trigger once, from tenant 0's sender, halfway through its rows —
-		// a genuinely mid-replay fleet-wide swap.
+		// Trigger once, from tenant 0's goroutine, halfway through its rows
+		// — a genuinely mid-replay fleet-wide swap.
 		rows0 := (len(samples) + tenants - 1) / tenants
 		trigger := max(1, rows0/2)
 		opt.AfterSend = func(tenant, sent int) {
 			if tenant != 0 || sent != trigger {
 				return
 			}
-			//evaxlint:ignore goroutine the swap must run off the sender goroutine (SwapAll drains canaries while tenants stream); joined via swapDone before the report prints
+			//evaxlint:ignore goroutine the swap must run off the tenant's goroutine (SwapAll drains canaries while tenants stream); joined via swapDone before the report prints
 			go func() {
 				defer close(swapDone)
 				rep, err := coord.SwapAll(swapPath)
-				reportSwap(rep, err)
+				reportSwap(stdout, stderr, rep, err)
 			}()
 		}
 	} else {
@@ -156,42 +182,37 @@ func runReplay(fl *fleet.Fleet, coord *fleet.Coordinator, corpusPath string, ten
 	coord.Start()
 	rep, err := fl.Replay(samples, opt)
 	if err != nil {
-		fatalf("evaxfleet: replay: %v", err)
+		return fmt.Errorf("replay: %w", err)
 	}
 	<-swapDone
 	coord.Stop()
 
 	out, jerr := json.MarshalIndent(rep, "", "  ")
 	if jerr != nil {
-		fatalf("evaxfleet: %v", jerr)
+		return jerr
 	}
-	fmt.Printf("fleet replay: %s\n", out)
-	fmt.Printf("fleet replay: rows=%d flagged=%d shards=%d digest=%s (%.0f rows/sec, skew %.3f)\n",
+	fmt.Fprintf(stdout, "fleet replay: %s\n", out)
+	fmt.Fprintf(stdout, "fleet replay: rows=%d flagged=%d shards=%d digest=%s (%.0f rows/sec, skew %.3f)\n",
 		rep.Rows, rep.Flagged, rep.Shards, rep.HashHex(), rep.MeanRate, rep.Skew)
 	for _, h := range coord.ProbeAll() {
 		out, jerr := json.Marshal(h)
 		if jerr == nil {
-			fmt.Printf("fleet health: %s\n", out)
+			fmt.Fprintf(stdout, "fleet health: %s\n", out)
 		}
 	}
 	if _, err := fl.Drain(); err != nil {
-		fatalf("evaxfleet: drain: %v", err)
+		return fmt.Errorf("drain: %w", err)
 	}
+	return nil
 }
 
 // reportSwap prints a fleet-wide swap outcome.
-func reportSwap(rep engine.FleetSwapReport, err error) {
+func reportSwap(stdout, stderr io.Writer, rep engine.FleetSwapReport, err error) {
 	out, jerr := json.MarshalIndent(rep, "", "  ")
 	if jerr == nil {
-		fmt.Printf("evaxfleet: swap: %s\n", out)
+		fmt.Fprintf(stdout, "evaxfleet: swap: %s\n", out)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "evaxfleet: swap: %v\n", err)
+		fmt.Fprintf(stderr, "evaxfleet: swap: %v\n", err)
 	}
-}
-
-// fatalf reports a fatal error and exits nonzero.
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

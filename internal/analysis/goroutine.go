@@ -19,7 +19,6 @@ import (
 var goroutineExemptScope = []string{
 	"internal/runner",
 	"internal/serve",
-	"internal/serve/client",
 	"internal/fleet",
 }
 

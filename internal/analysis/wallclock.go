@@ -14,7 +14,6 @@ import (
 // — progress lines and wall-clock reports are their interface.
 var wallclockExemptScope = []string{
 	"internal/serve",
-	"internal/serve/client",
 	"internal/runner",
 	"internal/fleet",
 }

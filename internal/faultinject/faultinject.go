@@ -14,8 +14,7 @@
 //     tear or fail specific steps of the persistence protocol —
 //     exercising crash-safe writes and checkpoint-journal recovery.
 //
-// Production code never imports this package; it exists for tests and the
-// `make faults` CI job.
+// Production code never imports this package; it exists for tests.
 package faultinject
 
 import (

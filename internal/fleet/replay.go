@@ -26,8 +26,8 @@ type ReplayOptions struct {
 	// seed lands tenants on different shards, yet the merged digest must
 	// not move — that is the invariant under test.
 	Seed int64
-	// AfterSend, when non-nil, runs on the tenant's sender goroutine after
-	// each accepted Send with the tenant index and its sent-so-far count.
+	// AfterSend, when non-nil, runs on the tenant's goroutine after each
+	// accepted Submit with the tenant index and its sent-so-far count.
 	// Tests use it to trigger a fleet-wide swap deterministically
 	// mid-replay.
 	AfterSend func(tenant, sent int)
@@ -58,10 +58,10 @@ func (r ReplayReport) HashHex() string { return fmt.Sprintf("%016x", r.Hash) }
 
 // Replay streams a recorded corpus through the fleet — tenants partition the
 // rows, the ring routes each tenant to its shard, every shard scores its
-// share through the full framing protocol — and returns the merged verdict
-// digest. Zero loss is enforced, not assumed: any reject, missing verdict,
-// or per-connection accounting mismatch fails the replay rather than
-// silently perturbing the digest.
+// share through the full framing protocol, one exactly-once serve.Stream per
+// tenant — and returns the merged verdict digest. Zero loss is enforced, not
+// assumed: any reject (an overload one included) or a stats frame from the
+// wrong shard fails the replay rather than silently perturbing the digest.
 func (f *Fleet) Replay(samples []dataset.Sample, opt ReplayOptions) (ReplayReport, error) {
 	rep := ReplayReport{Seed: opt.Seed, Shards: f.Shards()}
 	if len(samples) == 0 {
@@ -144,68 +144,40 @@ func (f *Fleet) Replay(samples []dataset.Sample, opt ReplayOptions) (ReplayRepor
 	return rep, nil
 }
 
-// streamTenant drives one tenant's connection: stream its rows (Seq = global
-// corpus index), bye, then reconcile the returned verdicts against exactly-
-// once accounting. The receiver runs concurrently with the sender so verdict
-// backpressure never deadlocks the stream.
+// streamTenant drives one tenant's Stream: submit its rows in corpus order
+// (Seq = position within the tenant), finish, and map each verdict back to
+// its corpus row. The Stream's session delivers exactly one verdict per
+// submitted row; two checks stay here because the Stream cannot know them:
+// an overload resend reorders per-session scoring relative to the corpus,
+// and the stats frame must come from the shard the ring routed to.
 func (f *Fleet) streamTenant(t int, addr string, shard int, samples []dataset.Sample, rows []int, scores []float64, flags []bool, afterSend func(tenant, sent int)) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	cl, err := serve.Dial(addr, f.rawDim)
-	if err != nil {
-		return fmt.Errorf("fleet: tenant %d dial shard %d: %w", t, shard, err)
-	}
-	//evaxlint:ignore droppederr the stream already ended in Bye/drain; a close failure loses nothing
-	defer cl.Close()
-
-	recvErr := make(chan error, 1)
-	go func() {
-		st, verdicts, rejects, err := cl.DrainStats()
-		if err != nil {
-			recvErr <- fmt.Errorf("fleet: tenant %d drain: %w", t, err)
-			return
-		}
-		if len(rejects) > 0 {
-			recvErr <- fmt.Errorf("fleet: tenant %d: shard %d rejected %d samples (first: seq %d code %d %q)",
-				t, shard, len(rejects), rejects[0].Seq, rejects[0].Code, rejects[0].Msg)
-			return
-		}
-		if len(verdicts) != len(rows) || st.Scored != uint64(len(rows)) {
-			recvErr <- fmt.Errorf("fleet: tenant %d: sent %d rows, got %d verdicts (conn scored %d)",
-				t, len(rows), len(verdicts), st.Scored)
-			return
-		}
-		if st.Shard != shard {
-			recvErr <- fmt.Errorf("fleet: tenant %d: routed to shard %d but stats frame says shard %d", t, shard, st.Shard)
-			return
-		}
-		seen := make(map[uint64]bool, len(verdicts))
-		for _, v := range verdicts {
-			if v.Seq >= uint64(len(samples)) || seen[v.Seq] {
-				recvErr <- fmt.Errorf("fleet: tenant %d: bad or duplicate verdict seq %d", t, v.Seq)
-				return
-			}
-			seen[v.Seq] = true
-			scores[v.Seq] = v.Score
-			flags[v.Seq] = v.Flagged()
-		}
-		recvErr <- nil
-	}()
-
-	var instrStart uint64
+	st := serve.NewStream(serve.StreamOptions{Addr: addr, RawDim: f.rawDim, Name: "fleet/replay", ID: t})
 	for sent, idx := range rows {
 		s := &samples[idx]
-		if err := cl.Send(serve.SampleHeader{Seq: uint64(idx), InstrStart: instrStart}, s.Instructions, s.Cycles, s.Raw); err != nil {
-			return fmt.Errorf("fleet: tenant %d send row %d: %w", t, idx, err)
+		if err := st.Submit(s.Instructions, s.Cycles, s.Raw); err != nil {
+			return fmt.Errorf("fleet: tenant %d row %d: %w", t, idx, err)
 		}
-		instrStart += s.Instructions
 		if afterSend != nil {
 			afterSend(t, sent+1)
 		}
 	}
-	if err := cl.Bye(); err != nil {
-		return fmt.Errorf("fleet: tenant %d bye: %w", t, err)
+	rep, err := st.Finish()
+	if err != nil {
+		return fmt.Errorf("fleet: tenant %d: %w", t, err)
 	}
-	return <-recvErr
+	if rep.Stats.Overloads > 0 {
+		return fmt.Errorf("fleet: tenant %d: shard %d rejected %d samples for overload; resends reorder scoring",
+			t, shard, rep.Stats.Overloads)
+	}
+	if rep.Conn.Shard != shard {
+		return fmt.Errorf("fleet: tenant %d: routed to shard %d but stats frame says shard %d", t, shard, rep.Conn.Shard)
+	}
+	for _, v := range rep.Verdicts {
+		scores[rows[v.Seq]] = v.Score
+		flags[rows[v.Seq]] = v.Flagged()
+	}
+	return nil
 }

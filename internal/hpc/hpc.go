@@ -169,65 +169,6 @@ func (s *Sampler) TakeInto(vals []float64) (Sample, bool) {
 	return sm, true
 }
 
-// Normalizer tracks the running maximum of each counter and scales samples
-// into [0,1] ("statistics are normalized over the maximum value of the
-// counter").
-type Normalizer struct {
-	max []float64
-}
-
-// NewNormalizer creates a normalizer for n counters.
-func NewNormalizer(n int) *Normalizer { return &Normalizer{max: make([]float64, n)} }
-
-// Observe updates running maxima from a raw sample.
-func (n *Normalizer) Observe(values []float64) {
-	for i, v := range values {
-		if v > n.max[i] {
-			n.max[i] = v
-		}
-	}
-}
-
-// Normalize scales values in place to [0,1] by the running maxima. Counters
-// never observed nonzero stay zero.
-func (n *Normalizer) Normalize(values []float64) {
-	for i, v := range values {
-		if n.max[i] > 0 {
-			x := v / n.max[i]
-			if x > 1 {
-				x = 1
-			}
-			values[i] = x
-		} else {
-			values[i] = 0
-		}
-	}
-}
-
-// Denormalize is the inverse of Normalize: it scales values in place back
-// to raw deltas by the running maxima. Exact recovery holds for deltas that
-// were inside the observed range (Normalize clamps above the maximum and
-// zeroes never-observed counters).
-func (n *Normalizer) Denormalize(values []float64) {
-	for i, v := range values {
-		values[i] = v * n.max[i]
-	}
-}
-
-// Max returns the running maximum for counter i.
-func (n *Normalizer) Max(i int) float64 { return n.max[i] }
-
-// FitAll observes every sample, then normalizes each in place — the offline
-// training flow where the full trace is available.
-func (n *Normalizer) FitAll(samples []Sample) {
-	for i := range samples {
-		n.Observe(samples[i].Values)
-	}
-	for i := range samples {
-		n.Normalize(samples[i].Values)
-	}
-}
-
 // DerivedKind names one derived view of a base counter.
 type DerivedKind int
 

@@ -3,9 +3,6 @@ package hpc
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"evax/internal/fmath"
 )
 
 type fakeSource struct {
@@ -98,81 +95,6 @@ func TestSamplerZeroIntervalDefaults(t *testing.T) {
 	s := NewSampler(cat, &fakeSource{counters: []uint64{0}}, 0)
 	if s.Interval() == 0 {
 		t.Fatal("zero interval not defaulted")
-	}
-}
-
-func TestNormalizerScalesToUnit(t *testing.T) {
-	n := NewNormalizer(2)
-	n.Observe([]float64{10, 0})
-	n.Observe([]float64{40, 0})
-	v := []float64{20, 5}
-	n.Normalize(v)
-	if v[0] != 0.5 {
-		t.Fatalf("v[0] = %v, want 0.5", v[0])
-	}
-	if v[1] != 0 {
-		t.Fatalf("never-observed counter normalized to %v, want 0", v[1])
-	}
-	// Values above the running max clamp to 1.
-	v = []float64{80, 0}
-	n.Normalize(v)
-	if v[0] != 1 {
-		t.Fatalf("clamp failed: %v", v[0])
-	}
-}
-
-func TestNormalizerFitAll(t *testing.T) {
-	n := NewNormalizer(1)
-	samples := []Sample{
-		{Values: []float64{2}},
-		{Values: []float64{8}},
-		{Values: []float64{4}},
-	}
-	n.FitAll(samples)
-	want := []float64{0.25, 1, 0.5}
-	for i, w := range want {
-		if samples[i].Values[0] != w {
-			t.Fatalf("sample %d = %v, want %v", i, samples[i].Values[0], w)
-		}
-	}
-	if n.Max(0) != 8 {
-		t.Fatalf("max = %v", n.Max(0))
-	}
-}
-
-func TestNormalizeBounds(t *testing.T) {
-	// Property: after Observe+Normalize every value is within [0,1].
-	f := func(obs, vals []float64) bool {
-		size := len(obs)
-		if len(vals) < size {
-			size = len(vals)
-		}
-		if size == 0 {
-			return true
-		}
-		n := NewNormalizer(size)
-		abs := func(xs []float64) []float64 {
-			out := make([]float64, size)
-			for i := 0; i < size; i++ {
-				out[i] = math.Abs(xs[i])
-				if math.IsNaN(out[i]) || math.IsInf(out[i], 0) {
-					out[i] = 0
-				}
-			}
-			return out
-		}
-		n.Observe(abs(obs))
-		v := abs(vals)
-		n.Normalize(v)
-		for _, x := range v {
-			if x < 0 || x > 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -380,35 +302,5 @@ func TestExpandIntoZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { e.ExpandInto(dst, s) })
 	if allocs != 0 {
 		t.Fatalf("ExpandInto allocates %v per sample, want 0", allocs)
-	}
-}
-
-func TestNormalizerRoundTrip(t *testing.T) {
-	// expand -> normalize -> denormalize must recover the raw derived
-	// deltas within fmath.Eps for every value inside the observed range.
-	const n = 23
-	e := NewExpander(n)
-	var rows [][]float64
-	norm := NewNormalizer(e.Dim())
-	for seed := uint64(1); seed <= 8; seed++ {
-		row := make([]float64, e.Dim())
-		e.ExpandInto(row, randomSample(n, seed*888888877))
-		norm.Observe(row)
-		rows = append(rows, row)
-	}
-	for ri, row := range rows {
-		raw := append([]float64(nil), row...)
-		norm.Normalize(row)
-		for _, v := range row {
-			if v < 0 || v > 1 {
-				t.Fatalf("row %d: normalized value %v outside [0,1]", ri, v)
-			}
-		}
-		norm.Denormalize(row)
-		for i := range row {
-			if !fmath.Eq(row[i], raw[i]) {
-				t.Fatalf("row %d slot %d: round-trip %v != raw %v", ri, i, row[i], raw[i])
-			}
-		}
 	}
 }

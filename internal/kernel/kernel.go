@@ -199,9 +199,9 @@ func (s *Scorer) HasRaw() bool { return s.norm != nil }
 // sigmoid matches ml.Activation Sigmoid bit for bit.
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
-// normClamp applies the exact normalize ops of dataset.NormalizeInPlace /
-// hpc.Normalizer.Normalize to one value: divide by the maximum, clamp to 1,
-// zero for never-observed slots.
+// normClamp applies the exact normalize ops of dataset.NormalizeInPlace to
+// one value: divide by the maximum, clamp to 1, zero for never-observed
+// slots.
 func normClamp(v, max float64) float64 {
 	if max > 0 {
 		x := v / max

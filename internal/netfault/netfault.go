@@ -200,45 +200,6 @@ func (in *Injector) Wrap(nc net.Conn) net.Conn {
 	return &faultConn{Conn: nc, sched: in.sched, client: in.client, fault: f, cut: -1}
 }
 
-// Listener wraps accepted conns with faults in accept order: the i-th
-// accepted conn gets the fault planned for client i%clients, attempt
-// i/clients+1. Useful for server-side chaos; client-side tests should prefer
-// per-client Injectors, whose attempt numbering survives reconnect races.
-type Listener struct {
-	net.Listener
-	sched *Schedule
-
-	mu       sync.Mutex
-	accepted int
-}
-
-// WrapListener returns ln with every accepted conn passed through sched.
-func WrapListener(ln net.Listener, sched *Schedule) *Listener {
-	return &Listener{Listener: ln, sched: sched}
-}
-
-func (l *Listener) Accept() (net.Conn, error) {
-	nc, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	i := l.accepted
-	l.accepted++
-	l.mu.Unlock()
-	n := len(l.sched.faults)
-	if n == 0 {
-		return nc, nil
-	}
-	client := i % n
-	attempt := i/n + 1
-	if attempt > len(l.sched.faults[client]) {
-		return nc, nil
-	}
-	f := l.sched.faults[client][attempt-1]
-	return &faultConn{Conn: nc, sched: l.sched, client: client, fault: f, cut: -1}, nil
-}
-
 // tracker walks a byte stream of TYPE|LEN32|PAYLOAD frames, maintaining the
 // index of the frame being assembled and the absolute stream offset.
 type tracker struct {

@@ -3,15 +3,20 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"time"
 )
 
-// Client speaks the framing protocol from the client side. It is used by the
-// resilient client (serve/client), perfbench and the integration tests; it
-// is not safe for concurrent use of the same side (one goroutine may send
-// while another receives).
+// ErrRefused wraps every handshake the server answered with an error frame
+// (bad version, bad dim, unknown session). Retrying cannot heal these, so
+// Stream gives up on them at once; a TCP "connection refused" is not one.
+var ErrRefused = errors.New("serve: server refused")
+
+// Client speaks the framing protocol from the client side. It is used by
+// Stream, perfbench and the integration tests; it is not safe for concurrent
+// use of the same side (one goroutine may send while another receives).
 type Client struct {
 	nc  net.Conn
 	br  *bufio.Reader
@@ -26,11 +31,7 @@ func Dial(addr string, rawDim int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		nc: nc,
-		br: bufio.NewReaderSize(nc, 64<<10),
-		bw: bufio.NewWriterSize(nc, 64<<10),
-	}
+	c := newClient(nc)
 	if err := c.writeFrame(AppendHello(c.buf[:0], Hello{Version: ProtocolVersion, RawDim: uint32(rawDim)})); err != nil {
 		//evaxlint:ignore droppederr the dial already failed; the close error would mask the handshake error
 		nc.Close()
@@ -45,7 +46,7 @@ func Dial(addr string, rawDim int) (*Client, error) {
 	if fr.Type == FrameError {
 		//evaxlint:ignore droppederr the server refused the handshake; its error frame is the failure to report
 		nc.Close()
-		return nil, fmt.Errorf("serve: server refused hello: %s", fr.Payload)
+		return nil, fmt.Errorf("%w hello: %s", ErrRefused, fr.Payload)
 	}
 	if fr.Type != FrameHello {
 		//evaxlint:ignore droppederr the handshake already failed; the close error would mask the protocol error
@@ -55,10 +56,9 @@ func Dial(addr string, rawDim int) (*Client, error) {
 	return c, nil
 }
 
-// WrapConn builds a Client over an already-dialed conn without any handshake
-// — the hook chaos harnesses use to interpose a fault-injecting conn between
-// dial and handshake. The caller runs Hello or Resume itself.
-func WrapConn(nc net.Conn) *Client {
+// newClient builds a Client over an already-dialed conn without any
+// handshake.
+func newClient(nc net.Conn) *Client {
 	return &Client{
 		nc: nc,
 		br: bufio.NewReaderSize(nc, 64<<10),
@@ -82,20 +82,23 @@ func (c *Client) Resume(rawDim int, session uint64) (Ack, error) {
 	case FrameAck:
 		return DecodeAck(fr.Payload)
 	case FrameError:
-		return Ack{}, fmt.Errorf("serve: server refused resume: %s", fr.Payload)
+		return Ack{}, fmt.Errorf("%w resume: %s", ErrRefused, fr.Payload)
 	default:
 		return Ack{}, fmt.Errorf("serve: expected ack, got frame type 0x%02x", fr.Type)
 	}
 }
 
-// DialResume connects and opens (session == 0) or resumes a session-backed
-// stream.
-func DialResume(addr string, rawDim int, session uint64) (*Client, Ack, error) {
-	nc, err := net.DialTimeout("tcp", addr, 10*time.Second)
+// dialSession connects, passes the conn through interpose (when non-nil) and
+// opens (session == 0) or resumes a session-backed stream.
+func dialSession(addr string, timeout time.Duration, interpose func(net.Conn) net.Conn, rawDim int, session uint64) (*Client, Ack, error) {
+	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, Ack{}, err
 	}
-	c := WrapConn(nc)
+	if interpose != nil {
+		nc = interpose(nc)
+	}
+	c := newClient(nc)
 	ack, err := c.Resume(rawDim, session)
 	if err != nil {
 		//evaxlint:ignore droppederr the handshake already failed; the close error would mask it

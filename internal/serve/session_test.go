@@ -22,7 +22,7 @@ func TestSessionResumeExactlyOnce(t *testing.T) {
 	srv := startServer(t, cfg)
 	dim := len(samples[0].Raw)
 
-	cl, ack, err := DialResume(srv.Addr(), dim, 0)
+	cl, ack, err := dialSession(srv.Addr(), 10*time.Second, nil, dim, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSessionResumeExactlyOnce(t *testing.T) {
 	cl.Close() // abrupt: no bye, the session is now orphaned
 
 	// Phase 2: resume, replay 0..9, continue with 10..14.
-	cl2, ack2, err := DialResume(srv.Addr(), dim, ack.Session)
+	cl2, ack2, err := dialSession(srv.Addr(), 10*time.Second, nil, dim, ack.Session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSessionStaleReplayRejected(t *testing.T) {
 	srv := startServer(t, cfg)
 	dim := len(samples[0].Raw)
 
-	cl, _, err := DialResume(srv.Addr(), dim, 0)
+	cl, _, err := dialSession(srv.Addr(), 10*time.Second, nil, dim, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSessionStaleReplayRejected(t *testing.T) {
 func TestResumeUnknownSessionRefused(t *testing.T) {
 	_, _, samples := lab(t)
 	srv := startServer(t, DefaultConfig())
-	if _, _, err := DialResume(srv.Addr(), len(samples[0].Raw), 424242); err == nil ||
+	if _, _, err := dialSession(srv.Addr(), 10*time.Second, nil, len(samples[0].Raw), 424242); err == nil ||
 		!strings.Contains(err.Error(), "unknown session") {
 		t.Fatalf("unknown-session resume: %v", err)
 	}
