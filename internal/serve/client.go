@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -17,12 +18,37 @@ var ErrRefused = errors.New("serve: server refused")
 // Client speaks the framing protocol from the client side. It is used by
 // Stream, perfbench and the integration tests; it is not safe for concurrent
 // use of the same side (one goroutine may send while another receives).
+//
+// One writer goroutine per client owns the socket's write side. Send, Bye,
+// Ping and Admin only append their encoded frame to a pending buffer; the
+// writer swaps buffers and writes the whole backlog in one Write, writing
+// again at once while more is pending. There is no timer: a lone frame goes
+// out as soon as the writer is idle, and a burst goes out in one segment.
+// Once writeBound bytes are pending, senders block until the writer catches
+// up, so a peer that stops reading costs bounded memory. The first write
+// error is sticky: the backlog it hit is lost, and every later call that
+// writes returns that error, so a failed write surfaces on the next call
+// rather than on the one whose frame it was. Close stops the writer; a
+// Client must be closed even after a clean bye.
 type Client struct {
 	nc  net.Conn
 	br  *bufio.Reader
-	bw  *bufio.Writer
-	buf []byte
+	buf []byte // the sending side's encode scratch
+
+	mu      sync.Mutex
+	more    sync.Cond     // signalled when pending gains a frame or err is set
+	room    sync.Cond     // broadcast when pending empties or the writer stops
+	pending []byte        // frames appended since the writer's last swap
+	spare   []byte        // the writer's previous buffer, reused as the next pending
+	writing bool          // the writer holds a swapped-out backlog
+	err     error         // first write error, or net.ErrClosed after Close; stops the writer
+	done    chan struct{} // closed when the writer returns
 }
+
+// writeBound is the pending backlog at which senders block until the writer
+// catches up. A frame is appended whenever less than this is pending, so the
+// backlog can exceed it by at most one frame.
+const writeBound = 64 << 10
 
 // Dial connects to a server and completes the hello exchange for a
 // rawDim-counter stream.
@@ -34,36 +60,40 @@ func Dial(addr string, rawDim int) (*Client, error) {
 	c := newClient(nc)
 	if err := c.writeFrame(AppendHello(c.buf[:0], Hello{Version: ProtocolVersion, RawDim: uint32(rawDim)})); err != nil {
 		//evaxlint:ignore droppederr the dial already failed; the close error would mask the handshake error
-		nc.Close()
+		c.Close()
 		return nil, fmt.Errorf("serve: sending hello: %w", err)
 	}
 	fr, err := c.Recv()
 	if err != nil {
 		//evaxlint:ignore droppederr the dial already failed; the close error would mask the handshake error
-		nc.Close()
+		c.Close()
 		return nil, fmt.Errorf("serve: reading hello echo: %w", err)
 	}
 	if fr.Type == FrameError {
 		//evaxlint:ignore droppederr the server refused the handshake; its error frame is the failure to report
-		nc.Close()
+		c.Close()
 		return nil, fmt.Errorf("%w hello: %s", ErrRefused, fr.Payload)
 	}
 	if fr.Type != FrameHello {
 		//evaxlint:ignore droppederr the handshake already failed; the close error would mask the protocol error
-		nc.Close()
+		c.Close()
 		return nil, fmt.Errorf("serve: expected hello echo, got frame type 0x%02x", fr.Type)
 	}
 	return c, nil
 }
 
 // newClient builds a Client over an already-dialed conn without any
-// handshake.
+// handshake and starts its writer.
 func newClient(nc net.Conn) *Client {
-	return &Client{
-		nc: nc,
-		br: bufio.NewReaderSize(nc, 64<<10),
-		bw: bufio.NewWriterSize(nc, 64<<10),
+	c := &Client{
+		nc:   nc,
+		br:   bufio.NewReaderSize(nc, 64<<10),
+		done: make(chan struct{}),
 	}
+	c.more.L = &c.mu
+	c.room.L = &c.mu
+	go c.writeLoop()
+	return c
 }
 
 // Resume runs the session handshake on a fresh conn: session 0 creates a new
@@ -102,7 +132,7 @@ func dialSession(addr string, timeout time.Duration, interpose func(net.Conn) ne
 	ack, err := c.Resume(rawDim, session)
 	if err != nil {
 		//evaxlint:ignore droppederr the handshake already failed; the close error would mask it
-		nc.Close()
+		c.Close()
 		return nil, Ack{}, err
 	}
 	return c, ack, nil
@@ -116,9 +146,20 @@ func (c *Client) Ping(token uint64) error {
 
 // CloseWrite half-closes the connection (TCP FIN on the write side) while
 // keeping the read side open: the server sees EOF, flushes everything in
-// flight, and its verdicts/stats still flow back. Falls back to a full close
-// when the transport cannot half-close.
+// flight, and its verdicts/stats still flow back. It first waits until the
+// writer has written every pending frame, and returns the sticky write error
+// instead if that drain failed. Falls back to a full close of the socket when
+// the transport cannot half-close.
 func (c *Client) CloseWrite() error {
+	c.mu.Lock()
+	for (len(c.pending) > 0 || c.writing) && c.err == nil {
+		c.room.Wait()
+	}
+	err := c.err
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	type closeWriter interface{ CloseWrite() error }
 	if cw, ok := c.nc.(closeWriter); ok {
 		return cw.CloseWrite()
@@ -130,17 +171,64 @@ func (c *Client) CloseWrite() error {
 // liveness detection.
 func (c *Client) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(t) }
 
-// writeFrame writes one pre-encoded frame and flushes, keeping the buffer for
-// reuse.
+// writeFrame queues one pre-encoded frame for the writer, keeping the encode
+// buffer for reuse. It blocks while writeBound bytes are pending and returns
+// the sticky error once a write has failed or the client is closed.
 func (c *Client) writeFrame(frame []byte) error {
 	c.buf = frame[:0]
-	if _, err := c.bw.Write(frame); err != nil {
-		return err
+	c.mu.Lock()
+	for len(c.pending) >= writeBound && c.err == nil {
+		c.room.Wait()
 	}
-	return c.bw.Flush()
+	err := c.err
+	if err == nil {
+		c.pending = append(c.pending, frame...)
+	}
+	c.mu.Unlock()
+	c.more.Signal()
+	return err
 }
 
-// Send streams one sample frame.
+// writeLoop is the client's writer goroutine, the single owner of the
+// socket's write side: it swaps out whatever is pending and writes it in one
+// Write, until Close or the first write error, which it keeps for every later
+// writeFrame to return.
+func (c *Client) writeLoop() {
+	defer close(c.done)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		for len(c.pending) == 0 && c.err == nil {
+			c.more.Wait()
+		}
+		if c.err != nil {
+			return
+		}
+		out := c.pending
+		c.pending, c.spare = c.spare[:0], nil
+		c.writing = true
+		c.room.Broadcast()
+		c.mu.Unlock()
+		_, err := c.nc.Write(out)
+		c.mu.Lock()
+		c.writing = false
+		c.spare = out[:0]
+		if err != nil {
+			if c.err == nil {
+				c.err = err
+			}
+			c.room.Broadcast()
+			return
+		}
+		if len(c.pending) == 0 {
+			c.room.Broadcast()
+		}
+	}
+}
+
+// Send queues one sample frame for the writer. A nil error means the frame
+// is queued, not written; a write that fails later is returned by the next
+// call.
 func (c *Client) Send(h SampleHeader, instructions, cycles uint64, raw []float64) error {
 	return c.writeFrame(AppendSample(c.buf[:0], h, instructions, cycles, raw))
 }
@@ -199,5 +287,18 @@ func (c *Client) DrainStats() (ConnStats, []Verdict, []Reject, error) {
 	}
 }
 
-// Close tears the connection down without the bye handshake.
-func (c *Client) Close() error { return c.nc.Close() }
+// Close tears the connection down without the bye handshake: frames still
+// pending are dropped, a Send blocked at the bound returns net.ErrClosed, and
+// Close returns once the writer has stopped.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = net.ErrClosed
+	}
+	c.mu.Unlock()
+	c.more.Signal()
+	c.room.Broadcast()
+	err := c.nc.Close()
+	<-c.done
+	return err
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -68,6 +69,43 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if fr2.Type != fr.Type || !bytes.Equal(fr2.Payload, fr.Payload) {
 			t.Fatalf("ReadFrame disagrees with DecodeFrame")
+		}
+	})
+}
+
+// FuzzDecodeAdmin drives the client→server admin payload decoder with
+// arbitrary bytes: it never panics, and every payload it accepts re-encodes
+// through AppendAdmin to a frame carrying exactly that payload, which decodes
+// back to the same Admin. The server's JSON answer is fed to the decoder
+// Client.Admin uses, under the same never-panic rule.
+func FuzzDecodeAdmin(f *testing.F) {
+	f.Add([]byte{AdminStatus})
+	f.Add([]byte{AdminRollback})
+	f.Add(append([]byte{AdminSwap}, "/var/lib/evax/cand.json"...))
+	f.Add([]byte{0xFF, 0x00})
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{AdminSwap}, 1+maxAdminPath+1))
+	f.Add([]byte(`{"ok":true,"status":{"active_hash":"ab","epoch":2,"backend":"float","raw_dim":4}}`))
+	f.Add([]byte(`{"ok":false,"error":"x","report":{}}`))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var res AdminResult
+		_ = json.Unmarshal(payload, &res)
+
+		a, err := DecodeAdmin(payload)
+		if err != nil {
+			return
+		}
+		fr, rest, err := DecodeFrame(AppendAdmin(nil, a))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("AppendAdmin(%+v) does not decode as one frame: %v (%d bytes left)", a, err, len(rest))
+		}
+		if fr.Type != FrameAdmin || !bytes.Equal(fr.Payload, payload) {
+			t.Fatalf("AppendAdmin(%+v) carries %x, decoded from %x", a, fr.Payload, payload)
+		}
+		back, err := DecodeAdmin(fr.Payload)
+		if err != nil || back != a {
+			t.Fatalf("re-decoded %+v (%v), want %+v", back, err, a)
 		}
 	})
 }

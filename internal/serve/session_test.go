@@ -250,6 +250,7 @@ func TestIdleConnReaped(t *testing.T) {
 // after its last sample still receives every verdict and the stats frame on
 // the intact read side.
 func TestHalfCloseTolerated(t *testing.T) {
+	testleak.Check(t)
 	_, _, samples := lab(t)
 	srv := startServer(t, DefaultConfig())
 	dim := len(samples[0].Raw)
